@@ -44,12 +44,9 @@ from .chains import (
 )
 from .links import (
     VertexLink,
-    build_link,
     build_all_links,
     fundamental_class,
-    link_boundary_matrix,
     link_boundary_restriction_check,
-    projection,
 )
 from .intlinalg import (
     IntMatrix,
@@ -70,7 +67,7 @@ from .solver import (
     quad_chain,
     quad_part,
     triangle_part,
-    partial_boundary,
+    link_quad_boundary,
     cycle_imbalance,
     cycle_test,
     boundary_test,

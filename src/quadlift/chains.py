@@ -18,6 +18,8 @@ normal at the edge midpoint, outward face normal, edge direction); the test
 suite checks the rule against that determinant computation directly.
 """
 
+from itertools import permutations
+
 from .triangulation import (FACE_CORNERS, perm_sign, quad_corner_in_face,
                             disc_info)
 
@@ -33,6 +35,10 @@ __all__ = [
 ]
 
 
+# perm_sign of every ordering of the four local vertices
+_ORDER_SIGN = {order: perm_sign(order) for order in permutations(range(4))}
+
+
 def arc_sign(tri, tet, face_slot, corner):
     """Sign of the arc linking ``corner`` of face ``face_slot`` in the
     boundary of any disc of ``tet`` meeting it.  ``corner`` must lie in the
@@ -40,7 +46,7 @@ def arc_sign(tri, tet, face_slot, corner):
     if corner == face_slot:
         raise ValueError("corner %d does not lie in face %d" % (corner, face_slot))
     p, q = tri.directed_face_edge(tet, face_slot, corner)
-    return tri.tet_orientation[tet] * perm_sign((corner, p, q, face_slot))
+    return tri.tet_orientation[tet] * _ORDER_SIGN[(corner, p, q, face_slot)]
 
 
 def face_sides(tri, face_class, corner_slot=0):

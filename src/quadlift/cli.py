@@ -221,18 +221,37 @@ def _cmd_verify(args, out):
     return EX_INPUT
 
 
-def _cmd_snf(args, out):
-    text = _read_text(args.matrix)
+def _read_triplets(path):
+    """The nonzero entries of a triplet-format matrix file as {(row, col):
+    value}; a repeated position keeps its last value.  Every index must lie
+    inside the header's shape and the file must hold exactly ``nnz``
+    triplets."""
+    text = _read_text(path)
     try:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         nrows, ncols, nnz = map(int, lines[0].split())
-        rows = [[0] * ncols for _ in range(nrows)]
-        for ln in lines[1:nnz + 1]:
+        if min(nrows, ncols, nnz) < 0 or len(lines) - 1 != nnz:
+            raise ValueError
+        entries = {}
+        for ln in lines[1:]:
             r, c, v = map(int, ln.split())
-            rows[r][c] = v
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise ValueError
+            entries[(r, c)] = v
     except (ValueError, IndexError) as exc:
-        raise _InputError("malformed matrix file %s" % args.matrix,
-                          EX_INPUT) from exc
+        raise _InputError("malformed matrix file %s" % path, EX_INPUT) from exc
+    return {rc: v for rc, v in entries.items() if v}
+
+
+def _cmd_snf(args, out):
+    # All-zero rows and columns do not change the invariant factors, so the
+    # dense matrix spans only the rows and columns that hold an entry.
+    entries = _read_triplets(args.matrix)
+    row_of = {r: k for k, r in enumerate(sorted({r for r, _ in entries}))}
+    col_of = {c: k for k, c in enumerate(sorted({c for _, c in entries}))}
+    rows = [[0] * len(col_of) for _ in row_of]
+    for (r, c), v in entries.items():
+        rows[row_of[r]][col_of[c]] = v
     dec = smith_normal_form(IntMatrix(rows))
     out.write("invariant_factors %s\n"
               % " ".join(map(str, dec.invariant_factors)))

@@ -5,9 +5,9 @@ types (flat index 3i+k-1 for quad Qk of tetrahedron i) and is admissible when
 no tetrahedron carries two different quad types.  The vector belongs to a
 normal surface exactly when the triangle coordinates can be completed so that
 all matching equations hold, i.e. when the boundary of the quad 2-chain,
-projected to each vertex link, bounds there.  Three outcomes:
+restricted to each vertex link, bounds there.  Three outcomes:
 
-* ``NotNormal``: the projected boundary fails to be a 1-cycle in some link.
+* ``NotNormal``: the restricted boundary fails to be a 1-cycle in some link.
 * ``SpunNormal``: a cycle in every link, but not a boundary in some link
   (possible only for links of positive genus; the data then belongs to a
   spun-normal surface of the ideal triangulation).
@@ -15,12 +15,23 @@ projected to each vertex link, bounds there.  Three outcomes:
   so that at least one triangle coefficient of every link is zero, which
   makes it the unique minimal representative: every other completion adds
   non-negative multiples of whole vertex links.
+
+Every arc of a link lies on exactly two link triangles with opposite signs,
+so "bounds, and of what?" is a potential difference on the link's dual
+graph.  One walk over a spanning tree of that graph, from a root with
+potential 0, fixes the triangle coefficients; the arcs outside the tree then
+either all balance (Normal) or one does not (SpunNormal).  Each link costs
+time proportional to its size, and a query costs O(t).
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
-from . import chains, links as links_mod
-from .intlinalg import smith_normal_form, solve_with_smith
+from . import chains
+# Neither name is used here.  perfbench/test_bench.py's tracer test deletes
+# ``solver.smith_normal_form`` and expects every other traced target, among
+# them ``solver.solve_with_smith``, to still exist.
+from .intlinalg import smith_normal_form, solve_with_smith  # noqa: F401
 from .triangulation import quad_disc
 
 __all__ = [
@@ -32,7 +43,7 @@ __all__ = [
     "quad_chain",
     "quad_part",
     "triangle_part",
-    "partial_boundary",
+    "link_quad_boundary",
     "cycle_imbalance",
     "cycle_test",
     "boundary_test",
@@ -108,34 +119,47 @@ def triangle_part(tri, chain2):
             for tet in range(tri.tet_count) for c in range(4)]
 
 
-def _quad_boundary(tri, q):
-    boundary = chains.boundary_matrix(tri)
-    out = [0] * tri.arc_count
-    for tet in range(tri.tet_count):
-        for k in (1, 2, 3):
-            coeff = q[3 * tet + k - 1]
-            if coeff:
-                for r, v in boundary.columns[quad_disc(tet, k)]:
-                    out[r] += coeff * v
-    return out
+def _quad_arcs(tri):
+    """For every arc, the (quad index, sign) pairs of the quads whose
+    boundary meets it: at most one per side of its face."""
+    table = tri._cache.get("quad-arcs")
+    if table is None:
+        columns = chains.boundary_matrix(tri).columns
+        table = [[] for _ in range(tri.arc_count)]
+        for tet in range(tri.tet_count):
+            for k in (1, 2, 3):
+                for arc, sign in columns[quad_disc(tet, k)]:
+                    table[arc].append((3 * tet + k - 1, sign))
+        tri._cache["quad-arcs"] = table
+    return table
 
-def partial_boundary(tri, q, vertex):
-    """Boundary of the quad 2-chain projected to the arcs linking ``vertex``.
 
-    Summing over all vertex classes recovers the full boundary, since every
-    arc links exactly one vertex class.
+def link_quad_boundary(tri, q, vertex):
+    """Coefficients of the quad chain's boundary on the arcs linking
+    ``vertex``, in the order of ``link.arcs``.
+
+    Every arc links exactly one vertex class, so the links together carry
+    the whole boundary.
     """
-    return links_mod.projection(tri.links[vertex], _quad_boundary(tri, q))
+    if len(q) != tri.quad_count:
+        raise ValueError("expected %d quad coordinates, got %d"
+                         % (tri.quad_count, len(q)))
+    table = _quad_arcs(tri)
+    out = []
+    for arc in tri.links[vertex].arcs:
+        value = 0
+        for index, sign in table[arc]:
+            value += q[index] * sign
+        out.append(value)
+    return out
 
 
 def cycle_imbalance(tri, q, vertex):
-    """Signed endpoint sums of the projected boundary at each 0-cell of the
+    """Signed endpoint sums of the link's quad boundary at each 0-cell of the
     link; all zero exactly when the chain is a 1-cycle there."""
     link = tri.links[vertex]
-    chain = partial_boundary(tri, q, vertex)
     sums = {}
-    for arc in link.arcs:
-        coeff = chain[arc]
+    for arc, coeff in zip(link.arcs, link_quad_boundary(tri, q, vertex)):
         if coeff:
             tail, head = link.arc_cells[arc]
             sums[head] = sums.get(head, 0) + coeff
@@ -147,33 +171,82 @@ def cycle_test(tri, q, vertex):
     return not cycle_imbalance(tri, q, vertex)
 
 
-def _link_solver(tri, vertex):
-    key = ("link-smith", vertex)
-    dec = tri._cache.get(key)
-    if dec is None:
-        dec = smith_normal_form(
-            links_mod.link_boundary_matrix(tri, tri.links[vertex]))
-        tri._cache[key] = dec
-    return dec
+def _dual_tree(tri, link, root):
+    """A spanning tree of the link's dual graph, grown breadth first from
+    the triangle at position ``root`` of ``link.triangles``.
+
+    Returns (steps, closing).  A step (k, d, nb, s) crosses the tree arc at
+    position k of ``link.arcs`` from triangle d to triangle nb, where s is
+    the arc's sign in the boundary of d (positions index
+    ``link.triangles``).  A closing entry (k, d, nb, s) is an arc outside the
+    tree in the same form.  An arc whose two incidences lie on one triangle
+    cancels in its boundary; it is closing with d = nb.
+    """
+    columns = chains.boundary_matrix(tri).columns
+    arc_pos = {arc: k for k, arc in enumerate(link.arcs)}
+    sides = [[] for _ in link.arcs]
+    for d, disc in enumerate(link.triangles):
+        for arc, sign in columns[disc]:
+            sides[arc_pos[arc]].append((d, sign))
+    neighbours = [[] for _ in link.triangles]
+    closing = []
+    for k, incidences in enumerate(sides):
+        if incidences:
+            (d, s), (nb, _) = incidences
+            neighbours[d].append((k, nb, s))
+            neighbours[nb].append((k, d, -s))
+        else:
+            closing.append((k, root, root, 1))
+    steps = []
+    used = [False] * len(link.arcs)
+    seen = [False] * len(link.triangles)
+    seen[root] = True
+    queue = deque([root])
+    while queue:
+        d = queue.popleft()
+        for k, nb, s in neighbours[d]:
+            if used[k]:
+                continue
+            used[k] = True
+            if seen[nb]:
+                closing.append((k, d, nb, s))
+            else:
+                seen[nb] = True
+                steps.append((k, d, nb, s))
+                queue.append(nb)
+    return steps, closing
 
 
-def boundary_test(tri, q, vertex, solve_fn=None):
-    """Decide whether the projected boundary bounds in the link complex.
+def boundary_test(tri, q, vertex, root=None):
+    """Decide whether the link's quad boundary b bounds in the link.
 
-    Returns (ok, witness, reason): on success ``witness`` is an integer
-    vector over the link's triangles (ordered as ``link.triangles``) whose
-    boundary cancels the projected quad boundary.  ``solve_fn``, if given,
-    replaces the cached solver (it receives the dense link boundary matrix
-    and the right-hand side) so witness independence can be exercised.
+    Returns (ok, witness, reason): on success ``witness`` is the integer
+    potential w over the link's triangles (ordered as ``link.triangles``)
+    with boundary -b, zero at position ``root`` (default the last
+    triangle).  It is unique up to adding a constant, which is a multiple of
+    the link's fundamental class.  Otherwise ``reason`` is
+    ``"no rational solution"``: an arc outside the tree does not balance.
+    An integer obstruction cannot occur, since the first homology of a
+    closed orientable surface has no torsion.
     """
     link = tri.links[vertex]
-    chain = partial_boundary(tri, q, vertex)
-    rhs = [-chain[arc] for arc in link.arcs]
-    if solve_fn is None:
-        res = solve_with_smith(_link_solver(tri, vertex), rhs)
+    if root is None:
+        key = ("dual-tree", vertex)
+        tree = tri._cache.get(key)
+        if tree is None:
+            tree = _dual_tree(tri, link, len(link.triangles) - 1)
+            tri._cache[key] = tree
     else:
-        res = solve_fn(links_mod.link_boundary_matrix(tri, link), rhs)
-    return res.ok, res.solution, res.reason
+        tree = _dual_tree(tri, link, root)
+    steps, closing = tree
+    b = link_quad_boundary(tri, q, vertex)
+    w = [0] * len(link.triangles)
+    for k, d, nb, s in steps:
+        w[nb] = w[d] + s * b[k]
+    for k, d, nb, s in closing:
+        if s * (w[d] - w[nb]) + b[k]:
+            return False, None, "no rational solution"
+    return True, w, None
 
 
 @dataclass(frozen=True)
@@ -182,8 +255,9 @@ class LiftResult:
 
     ``canonical_lift`` (present only for Normal) is the full disc vector with
     the given quad part and the minimal non-negative triangle completion;
-    ``per_vertex_shift`` records the multiple of each vertex link subtracted
-    from the solver's witness during normalization.
+    ``per_vertex_shift`` records, per vertex, min(w) - w[last] for the link
+    potential w of :func:`boundary_test`, where ``last`` is the link's last
+    triangle.  It is the same for every root of the walk.
     """
 
     classification: str
@@ -193,14 +267,13 @@ class LiftResult:
     boundary_failures: tuple = ()
 
 
-def lift(tri, q, solve_fn=None):
+def lift(tri, q):
     """Classify an admissible non-negative quad vector; compute the canonical
     lift when it is Normal.
 
-    Raises ValueError on inadmissible input.  The canonical lift does not
-    depend on the witness produced by the integer solver: any two witnesses
-    for a vertex differ by a multiple of the link's fundamental class, which
-    the per-vertex normalization removes.
+    Raises ValueError on inadmissible input.  Any two potentials of a link
+    differ by a constant, which the per-vertex normalization removes, so the
+    canonical lift does not depend on the spanning tree.
     """
     report = check_admissible(q, tri.tet_count)
     if not report.ok:
@@ -217,7 +290,7 @@ def lift(tri, q, solve_fn=None):
     witnesses = {}
     boundary_failures = []
     for vertex in range(len(tri.links)):
-        ok, witness, reason = boundary_test(tri, q, vertex, solve_fn=solve_fn)
+        ok, witness, reason = boundary_test(tri, q, vertex)
         if ok:
             witnesses[vertex] = witness
         else:
@@ -229,8 +302,8 @@ def lift(tri, q, solve_fn=None):
     shifts = {}
     for vertex, witness in witnesses.items():
         link = tri.links[vertex]
-        m = min(witness) if witness else 0
-        shifts[vertex] = m
+        m = min(witness)
+        shifts[vertex] = m - witness[-1]
         for disc, value in zip(link.triangles, witness):
             coords[disc] = value - m
 
@@ -271,7 +344,8 @@ def verify_normal(tri, coords):
 # coordinate documents
 
 def load_quads(doc, tet_count):
-    """Read {"quads": [[q1,q2,q3] x t]} into a flat quad vector."""
+    """Read {"quads": [[q1,q2,q3] x t]} into a flat quad vector.  JSON true
+    and false load as bool, so entries must have type ``int`` exactly."""
     if not isinstance(doc, dict) or "quads" not in doc:
         raise ValueError("malformed quads document: missing 'quads'")
     rows = doc["quads"]
@@ -280,7 +354,7 @@ def load_quads(doc, tet_count):
     flat = []
     for tet, row in enumerate(rows):
         if (not isinstance(row, list) or len(row) != 3
-                or any(not isinstance(x, int) for x in row)):
+                or any(type(x) is not int for x in row)):
             raise ValueError("malformed quad row for tetrahedron %d" % tet)
         flat.extend(row)
     return flat
@@ -300,7 +374,7 @@ def load_normal_coords(doc, tet_count):
     flat = []
     for tet, row in enumerate(rows):
         if (not isinstance(row, list) or len(row) != 7
-                or any(not isinstance(x, int) for x in row)):
+                or any(type(x) is not int for x in row)):
             raise ValueError("malformed coordinate row for tetrahedron %d" % tet)
         flat.extend(row)
     return flat

@@ -270,6 +270,8 @@ class Triangulation:
     # construction
 
     def _load(self, doc):
+        # Integers are checked with ``type(x) is int``: JSON true and false
+        # load as bool, which ``isinstance(x, int)`` would accept.
         if not isinstance(doc, dict):
             raise TriangulationError("malformed document: expected an object")
         try:
@@ -278,7 +280,7 @@ class Triangulation:
         except (KeyError, TypeError) as exc:
             raise TriangulationError(
                 "malformed document: missing 'tets' or 'gluings'") from exc
-        if not isinstance(t, int) or t <= 0:
+        if type(t) is not int or t <= 0:
             raise TriangulationError("malformed document: 'tets' must be a "
                                      "positive integer")
         if not isinstance(gluings, list) or len(gluings) != t:
@@ -311,11 +313,11 @@ class Triangulation:
                     raise TriangulationError(
                         "malformed document: tetrahedron %d face %d" % (i, f)
                     ) from exc
-                if not (isinstance(j, int) and 0 <= j < t):
+                if not (type(j) is int and 0 <= j < t):
                     raise TriangulationError(
                         "tetrahedron %d face %d glued to unknown tetrahedron "
                         "%r" % (i, f, j))
-                if not (isinstance(g, int) and 0 <= g <= 3):
+                if not (type(g) is int and 0 <= g <= 3):
                     raise TriangulationError(
                         "tetrahedron %d face %d glued to unknown face %r"
                         % (i, f, g))
@@ -323,7 +325,7 @@ class Triangulation:
                     raise TriangulationError(
                         "tetrahedron %d face %d glued to itself" % (i, f))
                 if (not isinstance(corners, list) or len(corners) != 3
-                        or any(not isinstance(c, int) or not 0 <= c <= 3
+                        or any(type(c) is not int or not 0 <= c <= 3
                                for c in corners)):
                     raise TriangulationError(
                         "malformed corner correspondence at tetrahedron %d "

@@ -404,3 +404,184 @@ def random_matrix(rng, max_rows, max_cols, lo=-4, hi=4):
     m = rng.randint(1, max_rows)
     n = rng.randint(1, max_cols)
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+# ----------------------------------------------------------------------
+# the former library paths: per-vertex link building and the Smith-form lift
+
+def build_link(tri, vertex):
+    """The link of one vertex class by a scan of every face class, the way
+    the package built each link before it bucketed all links in one pass."""
+    from quadlift.links import VertexLink
+    from quadlift.triangulation import TriangulationError, triangle_disc
+
+    vc = tri.vertex_classes[vertex]
+    triangles = tuple(sorted(triangle_disc(t, v) for t, v in vc.members))
+
+    arcs = []
+    arc_cells = {}
+    arc_triangles = {}
+    for fc in tri.face_classes:
+        i, f = fc.rep
+        sigma = tri.corner_map(i, f)
+        j, _ = tri.partner(i, f)
+        for slot, corner in enumerate(FACE_CORNERS[f]):
+            if tri.vertex_class_of[(i, corner)] != vertex:
+                continue
+            arc = 3 * fc.index + slot
+            arcs.append(arc)
+            p, q = tri.directed_face_edge(i, f, corner)
+            arc_cells[arc] = (tri.end_cell(i, corner, p),
+                              tri.end_cell(i, corner, q))
+            arc_triangles[arc] = (triangle_disc(i, corner),
+                                  triangle_disc(j, sigma[corner]))
+    arcs = tuple(sorted(arcs))
+
+    cells = tuple(sorted(
+        (e.index, end)
+        for e in tri.edge_classes
+        for end, v in ((0, e.tail_vertex), (1, e.head_vertex))
+        if v == vertex))
+
+    chi = len(cells) - len(arcs) + len(triangles)
+    if chi % 2 != 0:
+        raise TriangulationError(
+            "link of vertex %d has odd Euler characteristic %d; not an "
+            "orientable surface" % (vertex, chi))
+    if triangles:
+        index = {d: k for k, d in enumerate(triangles)}
+        adjacency = [[] for _ in triangles]
+        for arc in arcs:
+            d1, d2 = arc_triangles[arc]
+            adjacency[index[d1]].append(index[d2])
+            adjacency[index[d2]].append(index[d1])
+        seen = {0}
+        stack = [0]
+        while stack:
+            for nb in adjacency[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) != len(triangles):
+            raise TriangulationError(
+                "link of vertex %d is disconnected" % vertex)
+
+    return VertexLink(vertex, triangles, arcs, cells, arc_cells,
+                      arc_triangles, chi)
+
+
+def link_boundary_matrix(tri, link):
+    """Dense boundary matrix of the link complex: rows follow ``link.arcs``,
+    columns follow ``link.triangles``, entries are the disc-boundary signs."""
+    from quadlift import IntMatrix, disc_boundary
+
+    row_of = {arc: r for r, arc in enumerate(link.arcs)}
+    rows = [[0] * len(link.triangles) for _ in link.arcs]
+    for c, disc in enumerate(link.triangles):
+        for arc, coeff in disc_boundary(tri, disc):
+            rows[row_of[arc]][c] += coeff
+    return IntMatrix(rows)
+
+
+def projection(link, chain1):
+    """Project a 1-chain onto the arcs of the link (zero elsewhere)."""
+    return [c if arc in link.arc_set else 0 for arc, c in enumerate(chain1)]
+
+
+def partial_boundary(tri, q, vertex):
+    """Boundary of the quad 2-chain projected to the arcs linking ``vertex``,
+    as a chain over all arcs."""
+    from quadlift import apply_boundary, quad_chain
+
+    return projection(tri.links[vertex],
+                      apply_boundary(tri, quad_chain(tri, q)))
+
+
+def smith_lift(tri, q, decompositions=None):
+    """The lift by a Smith normal form of each link's dense boundary matrix,
+    as the package computed it before the spanning-tree walk; the shift of
+    each vertex is the minimum of the Smith witness.  ``decompositions``, a
+    dict kept by the caller for one triangulation, saves each link's Smith
+    form for the next query."""
+    from quadlift import (NORMAL, NOT_NORMAL, SPUN_NORMAL, LiftResult,
+                          apply_boundary, check_admissible, quad_chain,
+                          smith_normal_form, solve_with_smith)
+
+    report = check_admissible(q, tri.tet_count)
+    if not report.ok:
+        raise ValueError("inadmissible quadrilateral coordinates: %r" % (report,))
+
+    chains = [partial_boundary(tri, q, v) for v in range(len(tri.links))]
+    cycle_failures = []
+    for link, chain in zip(tri.links, chains):
+        sums = {}
+        for arc in link.arcs:
+            if chain[arc]:
+                tail, head = link.arc_cells[arc]
+                sums[head] = sums.get(head, 0) + chain[arc]
+                sums[tail] = sums.get(tail, 0) - chain[arc]
+        imbalance = tuple((c, s) for c, s in sorted(sums.items()) if s)
+        if imbalance:
+            cycle_failures.append((link.vertex, imbalance))
+    if cycle_failures:
+        return LiftResult(NOT_NORMAL, cycle_failures=tuple(cycle_failures))
+
+    witnesses = {}
+    boundary_failures = []
+    for link, chain in zip(tri.links, chains):
+        if decompositions is None:
+            decompositions = {}
+        if link.vertex not in decompositions:
+            decompositions[link.vertex] = smith_normal_form(
+                link_boundary_matrix(tri, link))
+        res = solve_with_smith(decompositions[link.vertex], [-chain[arc] for arc in link.arcs])
+        if res.ok:
+            witnesses[link.vertex] = res.solution
+        else:
+            boundary_failures.append((link.vertex, res.reason))
+    if boundary_failures:
+        return LiftResult(SPUN_NORMAL, boundary_failures=tuple(boundary_failures))
+
+    coords = quad_chain(tri, q)
+    shifts = {}
+    for vertex, witness in witnesses.items():
+        m = min(witness)
+        shifts[vertex] = m
+        for disc, value in zip(tri.links[vertex].triangles, witness):
+            coords[disc] = value - m
+    assert not any(apply_boundary(tri, coords))
+    return LiftResult(NORMAL, coords, shifts)
+
+
+def check_witness_independence(tri, q, result, rng, trials):
+    """Assert that ``result`` (a Normal lift of q) is what every witness
+    gives.  Per vertex: ``trials`` Smith witnesses of the link's dense system,
+    each with randomly permuted rows and columns, and the potential walk
+    rooted at every triangle of the link must all, after subtracting their
+    minimum, equal the canonical lift on the link's triangles, and must all
+    give ``min(w) - w[-1]`` as the vertex's shift."""
+    from quadlift import boundary_test, link_quad_boundary, solve_integer
+
+    for v, link in enumerate(tri.links):
+        canonical = [result.canonical_lift[d] for d in link.triangles]
+        shift = result.per_vertex_shift[v]
+        witnesses = []
+        a = link_boundary_matrix(tri, link)
+        rhs = [-c for c in link_quad_boundary(tri, q, v)]
+        for _ in range(trials):
+            rows = list(range(a.nrows))
+            cols = list(range(a.ncols))
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            res = solve_integer(a, rhs, row_order=rows, col_order=cols)
+            assert res.ok
+            witnesses.append(res.solution)
+        for root in range(len(link.triangles)):
+            ok, w, reason = boundary_test(tri, q, v, root=root)
+            assert ok and reason is None and w[root] == 0
+            assert a.mul_vec(w) == rhs
+            witnesses.append(w)
+        for w in witnesses:
+            m = min(w)
+            assert [x - m for x in w] == canonical
+            assert m - w[-1] == shift

@@ -196,3 +196,70 @@ def test_outputs_byte_identical_across_runs():
         first = invoke(*argv)
         second = invoke(*argv)
         assert first == second
+
+
+def test_snf_rejects_out_of_range_indices(tmp_path):
+    mfile = tmp_path / "m.txt"
+    for body in ("2 2 1\n-1 0 5\n", "2 2 1\n0 -1 5\n",
+                 "2 2 1\n2 0 5\n", "2 2 1\n0 2 5\n"):
+        mfile.write_text(body)
+        code, out, err = invoke("snf", "--matrix", str(mfile))
+        assert (code, out) == (1, "")
+        assert "malformed" in err
+
+
+def test_snf_rejects_a_triplet_count_other_than_nnz(tmp_path):
+    mfile = tmp_path / "m.txt"
+    for body in ("2 2 2\n0 0 5\n", "2 2 1\n0 0 5\n1 1 3\n", "2 2 -1\n"):
+        mfile.write_text(body)
+        code, out, _ = invoke("snf", "--matrix", str(mfile))
+        assert (code, out) == (1, "")
+
+
+def test_snf_ignores_all_zero_rows_and_columns(tmp_path):
+    # zero rows and columns do not change the invariant factors
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("5 7 3\n0 0 2\n4 6 4\n1 3 0\n")
+    assert invoke("snf", "--matrix", str(mfile)) == (
+        0, "invariant_factors 2 4\n", "")
+    mfile.write_text("3 3 0\n")
+    assert invoke("snf", "--matrix", str(mfile)) == (
+        0, "invariant_factors \n", "")
+
+
+def test_snf_allocates_by_entries_not_by_header(tmp_path, monkeypatch):
+    # only the rows and columns that hold an entry reach the Smith form,
+    # whatever size the header claims
+    import quadlift.cli
+    shapes = []
+    real = quadlift.cli.smith_normal_form
+
+    def recording(matrix):
+        shapes.append((matrix.nrows, matrix.ncols))
+        return real(matrix)
+
+    monkeypatch.setattr(quadlift.cli, "smith_normal_form", recording)
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("300 400 1\n299 5 -3\n")
+    assert invoke("snf", "--matrix", str(mfile)) == (
+        0, "invariant_factors 3\n", "")
+    assert shapes == [(1, 1)]
+
+
+def test_boolean_quads_exit_one(tmp_path):
+    quads = tmp_path / "q.json"
+    quads.write_text(json.dumps({"quads": [[True, 0, 0], [0, 0, 0]]}))
+    code, out, err = invoke("classify", "--tri", path("double_tet.json"),
+                            "--quads", str(quads))
+    assert (code, out) == (1, "")
+    assert "malformed quad row" in err
+
+
+def test_boolean_tet_count_exit_65(tmp_path):
+    bad = tmp_path / "bad.json"
+    doc = json.loads((DATA / "one_tet.json").read_text())
+    doc["tets"] = True
+    bad.write_text(json.dumps(doc))
+    code, _, err = invoke("validate", "--tri", str(bad))
+    assert code == 65
+    assert "'tets' must be a positive integer" in err

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from quadlift import (IntMatrix, determinant, kernel_basis,
-                      link_boundary_matrix, smith_normal_form, solve_integer)
-from oracles import box_solve, laplace_determinant, minors_gcd, random_matrix
+from quadlift import (IntMatrix, determinant, kernel_basis, smith_normal_form,
+                      solve_integer)
+from oracles import (box_solve, laplace_determinant, link_boundary_matrix,
+                     minors_gcd, random_matrix)
 
 
 def check_decomposition(a):

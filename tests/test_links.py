@@ -1,8 +1,20 @@
+import os
 import random
+import sys
 
-from quadlift import (IntMatrix, apply_boundary, build_link, fundamental_class,
-                      kernel_basis, link_boundary_matrix,
-                      link_boundary_restriction_check, projection)
+import pytest
+
+from quadlift import (IntMatrix, apply_boundary, build_all_links,
+                      fundamental_class, kernel_basis,
+                      link_boundary_restriction_check, parse_triangulation)
+from oracles import build_link, link_boundary_matrix, projection
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import generators as gen  # noqa: E402
+
+LINK_FIELDS = ("vertex", "triangles", "arcs", "arc_set", "cells", "arc_cells",
+               "arc_triangles", "euler_characteristic", "genus", "is_sphere")
 
 
 def test_double_tet_links_are_two_triangle_spheres(double_tet):
@@ -30,6 +42,36 @@ def test_build_link_matches_stored(double_tet):
         assert link.triangles == stored.triangles
         assert link.arcs == stored.arcs
         assert link.cells == stored.cells
+
+
+def assert_links_match_per_vertex_builder(tri):
+    links = build_all_links(tri)
+    assert len(links) == len(tri.vertex_classes)
+    for v, link in enumerate(links):
+        old = build_link(tri, v)
+        for name in LINK_FIELDS:
+            assert getattr(link, name) == getattr(old, name), name
+        # the dicts also keep the old insertion order
+        assert list(link.arc_cells) == list(old.arc_cells)
+        assert list(link.arc_triangles) == list(old.arc_triangles)
+
+
+def test_one_pass_links_match_per_vertex_builder_on_fixtures(all_fixtures):
+    for tri in all_fixtures.values():
+        assert_links_match_per_vertex_builder(tri)
+
+
+@pytest.mark.parametrize("moves", [0, 1, 4, 13, 40])
+def test_one_pass_links_match_per_vertex_builder_on_stacked(moves):
+    tri = parse_triangulation(gen.stacked(random.Random(moves), moves))
+    assert_links_match_per_vertex_builder(tri)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_one_pass_links_match_per_vertex_builder_on_covers(n):
+    assert_links_match_per_vertex_builder(parse_triangulation(gen.fig8_cover(n)))
+    doc = gen.one_four_move(gen.fig8_cover(n), 0)
+    assert_links_match_per_vertex_builder(parse_triangulation(doc))
 
 
 def test_triangle_and_arc_partitions(all_fixtures):

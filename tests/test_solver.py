@@ -5,10 +5,12 @@ import pytest
 
 from quadlift import (NORMAL, NOT_NORMAL, SPUN_NORMAL, apply_boundary,
                       arc_sign, boundary_test, check_admissible, cycle_test,
-                      lift, partial_boundary, quad_chain, quad_corner_in_face,
-                      quad_part, solve_integer, verify_normal)
+                      lift, link_quad_boundary, load_normal_coords, load_quads,
+                      quad_chain, quad_corner_in_face, quad_part,
+                      verify_normal)
 from conftest import load_doc
-from oracles import enumerate_matching_solutions
+from oracles import (check_witness_independence, enumerate_matching_solutions,
+                     link_boundary_matrix, partial_boundary)
 
 SPUN_Q = [0, 0, 1, 0, 0, 2]  # frozen spun-normal fixture on fig8
 
@@ -40,12 +42,13 @@ def test_bad_length_rejected(double_tet):
 
 
 # ----------------------------------------------------------------------
-# partial boundaries
+# per-link quad boundaries
 
 def test_partial_boundary_zero(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
-        for v in range(len(tri.links)):
-            assert not any(partial_boundary(tri, [0] * tri.quad_count, v))
+        for v, link in enumerate(tri.links):
+            b = link_quad_boundary(tri, [0] * tri.quad_count, v)
+            assert b == [0] * len(link.arcs)
 
 
 def test_partial_boundary_direct_recomputation(acceptance_fixtures):
@@ -53,7 +56,7 @@ def test_partial_boundary_direct_recomputation(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
         for _ in range(30):
             q = [rng.randint(0, 3) for _ in range(tri.quad_count)]
-            for v in range(len(tri.links)):
+            for v, link in enumerate(tri.links):
                 expect = [0] * tri.arc_count
                 for tet in range(tri.tet_count):
                     for k in (1, 2, 3):
@@ -66,6 +69,10 @@ def test_partial_boundary_direct_recomputation(acceptance_fixtures):
                                 continue
                             arc = tri.arc_of(tet, f, corner)
                             expect[arc] += coeff * arc_sign(tri, tet, f, corner)
+                assert not any(expect[arc] for arc in range(tri.arc_count)
+                               if arc not in link.arc_set)
+                assert link_quad_boundary(tri, q, v) == [expect[arc]
+                                                         for arc in link.arcs]
                 assert partial_boundary(tri, q, v) == expect
 
 
@@ -75,10 +82,15 @@ def test_partial_boundaries_sum_to_boundary(acceptance_fixtures):
         for _ in range(100):
             q = [rng.randint(0, 3) for _ in range(tri.quad_count)]
             total = [0] * tri.arc_count
-            for v in range(len(tri.links)):
-                total = [a + b for a, b in
-                         zip(total, partial_boundary(tri, q, v))]
+            for v, link in enumerate(tri.links):
+                for arc, c in zip(link.arcs, link_quad_boundary(tri, q, v)):
+                    total[arc] += c
             assert total == apply_boundary(tri, quad_chain(tri, q))
+
+
+def test_link_quad_boundary_rejects_bad_length(double_tet):
+    with pytest.raises(ValueError):
+        link_quad_boundary(double_tet, [0, 0, 0], 0)
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +136,10 @@ def test_sphere_links_cycle_implies_boundary(sphere_fixtures):
                     assert ok
                     link = tri.links[v]
                     rhs = [-c for c in partial_boundary(tri, q, v)]
-                    from quadlift import link_boundary_matrix
                     a = link_boundary_matrix(tri, link)
                     assert a.mul_vec(witness) == [rhs[arc] for arc in link.arcs]
+                    assert [rhs[arc] for arc in link.arcs] == [
+                        -c for c in link_quad_boundary(tri, q, v)]
 
 
 def test_boundary_test_zero_witness(double_tet):
@@ -243,13 +256,6 @@ def test_uniqueness_structure(sphere_fixtures):
 
 def test_witness_independence(sphere_fixtures):
     rng = random.Random(606)
-    def permuted_solver(matrix, rhs):
-        ro = list(range(matrix.nrows))
-        co = list(range(matrix.ncols))
-        rng.shuffle(ro)
-        rng.shuffle(co)
-        return solve_integer(matrix, rhs, row_order=ro, col_order=co)
-
     for name, tri in sphere_fixtures.items():
         doc = load_doc(name + ".json")
         seen = set()
@@ -259,9 +265,7 @@ def test_witness_independence(sphere_fixtures):
                 continue
             seen.add(q)
             base = lift(tri, list(q))
-            for _ in range(3):
-                alt = lift(tri, list(q), solve_fn=permuted_solver)
-                assert alt.canonical_lift == base.canonical_lift
+            check_witness_independence(tri, list(q), base, rng, 3)
 
 
 # ----------------------------------------------------------------------
@@ -301,3 +305,11 @@ def test_verify_flags_negative_and_inadmissible(double_tet):
     coords[4] = coords[5] = 1
     report = verify_normal(double_tet, coords)
     assert not report.admissibility.ok
+
+
+def test_boolean_coordinates_rejected():
+    with pytest.raises(ValueError, match="malformed quad row"):
+        load_quads({"quads": [[True, 0, 0]]}, 1)
+    with pytest.raises(ValueError, match="malformed coordinate row"):
+        load_normal_coords({"coords": [[0, 0, 0, 0, False, 0, 0]]}, 1)
+    assert load_quads({"quads": [[1, 0, 0]]}, 1) == [1, 0, 0]

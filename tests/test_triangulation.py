@@ -203,3 +203,20 @@ def test_vertex_link_validation_runs_at_parse(all_fixtures):
         assert len(tri.links) == len(tri.vertex_classes)
         for link in tri.links:
             assert link.euler_characteristic == 2 - 2 * link.genus
+
+
+def test_boolean_fields_rejected():
+    doc = load_doc("one_tet.json")
+    doc["tets"] = True
+    with pytest.raises(TriangulationError, match="'tets' must be"):
+        parse_triangulation(doc)
+    for key, value, message in (("tet", False, "unknown tetrahedron"),
+                                 ("face", True, "unknown face")):
+        doc = load_doc("double_tet.json")
+        doc["gluings"][0][0][key] = value
+        with pytest.raises(TriangulationError, match=message):
+            parse_triangulation(doc)
+    doc = load_doc("double_tet.json")
+    doc["gluings"][0][0]["corners"][0] = True
+    with pytest.raises(TriangulationError, match="malformed corner"):
+        parse_triangulation(doc)
