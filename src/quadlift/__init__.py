@@ -20,18 +20,13 @@ Typical use::
 
 from .triangulation import (
     FACE_CORNERS,
-    LOCAL_EDGES,
     Triangulation,
     TriangulationError,
     parse_triangulation,
-    orient,
-    orient_edges,
     perm_sign,
     quad_corner_in_face,
     quad_type_through,
     triangle_disc,
-    quad_disc,
-    disc_info,
 )
 from .chains import (
     arc_sign,
@@ -50,8 +45,6 @@ from .links import (
 )
 from .intlinalg import (
     IntMatrix,
-    SmithDecomposition,
-    SolveResult,
     smith_normal_form,
     solve_integer,
     solve_with_smith,
@@ -62,7 +55,6 @@ from .solver import (
     NORMAL,
     SPUN_NORMAL,
     NOT_NORMAL,
-    AdmissibilityReport,
     check_admissible,
     quad_chain,
     quad_part,
@@ -73,10 +65,8 @@ from .solver import (
     boundary_test,
     LiftResult,
     lift,
-    NormalityReport,
     verify_normal,
     load_quads,
-    quads_doc,
     load_normal_coords,
     normal_coords_doc,
 )

@@ -20,23 +20,18 @@ suite checks the rule against that determinant computation directly.
 
 from itertools import permutations
 
-from .triangulation import (FACE_CORNERS, perm_sign, quad_corner_in_face,
-                            disc_info)
-
-__all__ = [
-    "arc_sign",
-    "face_sides",
-    "disc_boundary",
-    "SparseColumns",
-    "boundary_matrix",
-    "matching_equations",
-    "apply_boundary",
-    "apply_matching",
-]
-
+from .triangulation import (FACE_CORNERS, disc_info, perm_sign, quad_disc,
+                            quad_corner_in_face, triangle_disc)
 
 # perm_sign of every ordering of the four local vertices
 _ORDER_SIGN = {order: perm_sign(order) for order in permutations(range(4))}
+
+
+def sign_rule(orientation, corner, p, q, face_slot):
+    """The sign rule above: ``orientation`` of the tetrahedron times the
+    parity of (corner, p, q, face_slot), for the directed edge (p, q) of the
+    face opposite ``corner``."""
+    return orientation * _ORDER_SIGN[(corner, p, q, face_slot)]
 
 
 def arc_sign(tri, tet, face_slot, corner):
@@ -46,7 +41,7 @@ def arc_sign(tri, tet, face_slot, corner):
     if corner == face_slot:
         raise ValueError("corner %d does not lie in face %d" % (corner, face_slot))
     p, q = tri.directed_face_edge(tet, face_slot, corner)
-    return tri.tet_orientation[tet] * _ORDER_SIGN[(corner, p, q, face_slot)]
+    return sign_rule(tri.tet_orientation[tet], corner, p, q, face_slot)
 
 
 def face_sides(tri, face_class, corner_slot=0):
@@ -157,8 +152,6 @@ def matching_equations(tri):
     cached = tri._cache.get("matching")
     if cached is not None:
         return cached
-
-    from .triangulation import triangle_disc, quad_disc
 
     rep_side = {fc.rep for fc in tri.face_classes}
     columns = [dict() for _ in range(tri.disc_count)]

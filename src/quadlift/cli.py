@@ -1,9 +1,9 @@
 """Command-line driver: validate, links, matrix, classify, verify, snf.
 
 Exit codes: 0 success / Normal, 2 SpunNormal, 3 NotNormal, 1 input error
-(bad coordinate data), 64 unknown subcommand, 65 invalid triangulation,
-66 unreadable file.  Output is deterministic: identical input gives
-byte-identical output.
+(bad coordinate data), 64 usage error (unknown subcommand or bad
+arguments), 65 invalid triangulation, 66 unreadable file.  Output is
+deterministic: identical input gives byte-identical output.
 """
 
 import argparse
@@ -64,9 +64,27 @@ def _load_json(path, what):
                           EX_INPUT) from exc
 
 
+class _Usage(Exception):
+    """Ends argument parsing with (exit code, text): the help for ``out``
+    or a usage error for ``err``."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises _Usage where argparse would print and exit, so that ``run``
+    returns every code.  A usage error gets EX_USAGE instead of argparse's
+    2, which is the SpunNormal code."""
+
+    def print_help(self, file=None):
+        raise _Usage(EX_OK, self.format_help())
+
+    def error(self, message):
+        raise _Usage(EX_USAGE, "%s%s: error: %s\n"
+                     % (self.format_usage(), self.prog, message))
+
+
 def _parser(cmd, *, tri=True, quads=False, coords=False, matrix=False,
             with_json=False):
-    p = argparse.ArgumentParser(prog="quadlift %s" % cmd, add_help=True)
+    p = _ArgumentParser(prog="quadlift %s" % cmd)
     if tri:
         p.add_argument("--tri", required=True, help="triangulation JSON file")
     if quads:
@@ -280,9 +298,12 @@ def run(argv, out=None, err=None):
         err.write("unknown subcommand: %s\n" % cmd)
         return EX_USAGE
     handler, opts = _HANDLERS[cmd]
-    args = _parser(cmd, **opts).parse_args(argv[1:])
-    if not hasattr(args, "as_json"):
-        args.as_json = False
+    try:
+        args = _parser(cmd, **opts).parse_args(argv[1:])
+    except _Usage as exc:
+        code, text = exc.args
+        (out if code == EX_OK else err).write(text)
+        return code
     try:
         return handler(args, out)
     except _InputError as exc:

@@ -9,17 +9,6 @@ and makes every decomposition deterministic.
 
 from dataclasses import dataclass
 
-__all__ = [
-    "IntMatrix",
-    "SmithDecomposition",
-    "SolveResult",
-    "smith_normal_form",
-    "solve_with_smith",
-    "solve_integer",
-    "kernel_basis",
-    "determinant",
-]
-
 
 class IntMatrix:
     """A dense matrix of Python integers."""
@@ -45,13 +34,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, m, n):
         return cls([[0] * n for _ in range(m)])
-
-    def copy(self):
-        return IntMatrix(self.rows)
-
-    def transpose(self):
-        return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)])
 
     def column(self, j):
         return [r[j] for r in self.rows]

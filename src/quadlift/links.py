@@ -5,17 +5,13 @@ triangles cutting off v, one per incidence of v in a tetrahedron.  Its 1-cells
 are the normal arcs linking v and its 0-cells sit on the ends of the edge
 classes incident to v.  On a valid triangulation every link is connected and
 orientable, and its homeomorphism type is determined by the Euler
-characteristic.
+characteristic.  Each link also carries a spanning tree of its dual graph
+(triangles joined across arcs), grown at parse by the same walk that checks
+that the link is connected; ``solver.boundary_test`` walks it.
 """
 
+from .chains import arc_sign, sign_rule
 from .triangulation import (FACE_CORNERS, TriangulationError, triangle_disc)
-
-__all__ = [
-    "VertexLink",
-    "build_all_links",
-    "fundamental_class",
-    "link_boundary_restriction_check",
-]
 
 
 class VertexLink:
@@ -26,14 +22,19 @@ class VertexLink:
     * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head.
     * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc.
     * ``arc_triangles[arc]``: the two link triangles adjacent along the arc.
+    * ``arc_signs[arc]``: the arc's coefficient in the boundary of
+      ``arc_triangles[arc][0]``; the other triangle has the opposite one.
+      It is 0 when both sides lie on one triangle, where they cancel.
+    * ``tree``: the spanning tree of :func:`dual_tree` rooted at the last
+      triangle.
     """
 
     __slots__ = ("vertex", "triangles", "arcs", "arc_set", "cells",
-                 "arc_cells", "arc_triangles", "euler_characteristic",
-                 "genus", "is_sphere")
+                 "arc_cells", "arc_triangles", "arc_signs",
+                 "euler_characteristic", "genus", "is_sphere", "tree")
 
     def __init__(self, vertex, triangles, arcs, cells, arc_cells,
-                 arc_triangles, euler_characteristic):
+                 arc_triangles, arc_signs, euler_characteristic):
         self.vertex = vertex
         self.triangles = triangles
         self.arcs = arcs
@@ -41,9 +42,11 @@ class VertexLink:
         self.cells = cells
         self.arc_cells = arc_cells
         self.arc_triangles = arc_triangles
+        self.arc_signs = arc_signs
         self.euler_characteristic = euler_characteristic
         self.genus = (2 - euler_characteristic) // 2
         self.is_sphere = euler_characteristic == 2
+        self.tree = dual_tree(self, len(triangles) - 1)
 
     def __repr__(self):
         return "VertexLink(vertex %d, %d triangles, chi %d)" % (
@@ -58,10 +61,12 @@ def build_all_links(tri):
     arcs = [[] for _ in range(count)]
     arc_cells = [{} for _ in range(count)]
     arc_triangles = [{} for _ in range(count)]
+    arc_signs = [{} for _ in range(count)]
     for fc in tri.face_classes:
         i, f = fc.rep
         sigma = tri.corner_map(i, f)
         j, _ = tri.partner(i, f)
+        orientation = tri.tet_orientation[i]
         for slot, corner in enumerate(FACE_CORNERS[f]):
             vertex = tri.vertex_class_of[(i, corner)]
             arc = 3 * fc.index + slot
@@ -69,8 +74,11 @@ def build_all_links(tri):
             p, q = tri.directed_face_edge(i, f, corner)
             arc_cells[vertex][arc] = (tri.end_cell(i, corner, p),
                                       tri.end_cell(i, corner, q))
-            arc_triangles[vertex][arc] = (triangle_disc(i, corner),
-                                          triangle_disc(j, sigma[corner]))
+            d1 = triangle_disc(i, corner)
+            d2 = triangle_disc(j, sigma[corner])
+            arc_triangles[vertex][arc] = (d1, d2)
+            arc_signs[vertex][arc] = (
+                sign_rule(orientation, corner, p, q, f) if d1 != d2 else 0)
     cells = [[] for _ in range(count)]
     for e in tri.edge_classes:
         cells[e.tail_vertex].append((e.index, 0))
@@ -79,43 +87,68 @@ def build_all_links(tri):
         _checked_link(vc.index,
                       tuple(sorted(triangle_disc(t, v) for t, v in vc.members)),
                       tuple(arcs[vc.index]), tuple(sorted(cells[vc.index])),
-                      arc_cells[vc.index], arc_triangles[vc.index])
+                      arc_cells[vc.index], arc_triangles[vc.index],
+                      arc_signs[vc.index])
         for vc in tri.vertex_classes)
 
 
-def _checked_link(vertex, triangles, arcs, cells, arc_cells, arc_triangles):
+def _checked_link(vertex, triangles, arcs, cells, arc_cells, arc_triangles,
+                  arc_signs):
     """The VertexLink of these cells, once its Euler characteristic is even
-    and its triangles are connected across its arcs."""
+    and its spanning tree reaches every triangle."""
     chi = len(cells) - len(arcs) + len(triangles)
     if chi % 2 != 0:
         raise TriangulationError(
             "link of vertex %d has odd Euler characteristic %d; not an "
             "orientable surface" % (vertex, chi))
+    link = VertexLink(vertex, triangles, arcs, cells, arc_cells,
+                      arc_triangles, arc_signs, chi)
+    if len(link.tree[0]) != len(triangles) - 1:
+        raise TriangulationError("link of vertex %d is disconnected" % vertex)
+    return link
 
-    # connectivity: walk the triangle adjacency graph
-    if triangles:
-        index = {d: k for k, d in enumerate(triangles)}
-        adjacency = [[] for _ in triangles]
-        for arc in arcs:
-            d1, d2 = arc_triangles[arc]
-            adjacency[index[d1]].append(index[d2])
-            adjacency[index[d2]].append(index[d1])
-        seen = [False] * len(triangles)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    count += 1
-                    stack.append(nb)
-        if count != len(triangles):
-            raise TriangulationError(
-                "link of vertex %d is disconnected" % vertex)
 
-    return VertexLink(vertex, triangles, arcs, cells, arc_cells,
-                      arc_triangles, chi)
+def dual_tree(link, root):
+    """A spanning tree of the link's dual graph, grown breadth first from
+    the triangle at position ``root`` of ``link.triangles``.
+
+    Returns (steps, closing).  A step (k, d, nb, s) crosses the tree arc at
+    position k of ``link.arcs`` from triangle d to triangle nb, where s is
+    the arc's coefficient in the boundary of d (d and nb are positions in
+    ``link.triangles``).  A closing entry (k, d, nb, s) is an arc outside
+    the tree in the same form; an arc whose two sides lie on one triangle is
+    closing with d = nb and s = 0.  The steps reach every triangle exactly
+    when the link is connected.
+    """
+    index = {d: k for k, d in enumerate(link.triangles)}
+    neighbours = [[] for _ in link.triangles]
+    closing = []
+    for k, arc in enumerate(link.arcs):
+        d1, d2 = link.arc_triangles[arc]
+        d, nb = index[d1], index[d2]
+        s = link.arc_signs[arc]
+        if d == nb:
+            closing.append((k, d, d, s))
+        else:
+            neighbours[d].append((k, nb, s))
+            neighbours[nb].append((k, d, -s))
+    steps = []
+    used = [False] * len(link.arcs)
+    seen = [False] * len(link.triangles)
+    seen[root] = True
+    queue = [root]
+    for d in queue:    # the queue grows while it is read
+        for k, nb, s in neighbours[d]:
+            if used[k]:
+                continue
+            used[k] = True
+            if seen[nb]:
+                closing.append((k, d, nb, s))
+            else:
+                seen[nb] = True
+                steps.append((k, d, nb, s))
+                queue.append(nb)
+    return steps, closing
 
 
 def fundamental_class(tri, link):
@@ -132,8 +165,6 @@ def link_boundary_restriction_check(tri, link):
     every arc is bounded by exactly two triangle incidences with opposite
     signs (the two incidences can lie on the same triangle when a face is
     glued to another face of its own tetrahedron)."""
-    from . import chains
-
     appearances = {arc: [] for arc in link.arcs}
     for disc in link.triangles:
         tet, corner = divmod(disc, 7)
@@ -143,7 +174,7 @@ def link_boundary_restriction_check(tri, link):
             arc = tri.arc_of(tet, face_slot, corner)
             if arc not in link.arc_set:
                 return False
-            appearances[arc].append(chains.arc_sign(tri, tet, face_slot, corner))
+            appearances[arc].append(arc_sign(tri, tet, face_slot, corner))
     return all(sorted(signs) == [-1, 1] for signs in appearances.values())
 
 

@@ -20,42 +20,20 @@ Every arc of a link lies on exactly two link triangles with opposite signs,
 so "bounds, and of what?" is a potential difference on the link's dual
 graph.  One walk over a spanning tree of that graph, from a root with
 potential 0, fixes the triangle coefficients; the arcs outside the tree then
-either all balance (Normal) or one does not (SpunNormal).  Each link costs
-time proportional to its size, and a query costs O(t).
+either all balance (Normal) or one does not (SpunNormal).  The tree is built
+with the link at parse (``VertexLink.tree``).  Each link costs time
+proportional to its size, and a query costs O(t).
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import chains
+from .links import dual_tree
 # Neither name is used here.  perfbench/test_bench.py's tracer test deletes
 # ``solver.smith_normal_form`` and expects every other traced target, among
 # them ``solver.solve_with_smith``, to still exist.
 from .intlinalg import smith_normal_form, solve_with_smith  # noqa: F401
 from .triangulation import quad_disc
-
-__all__ = [
-    "NORMAL",
-    "SPUN_NORMAL",
-    "NOT_NORMAL",
-    "AdmissibilityReport",
-    "check_admissible",
-    "quad_chain",
-    "quad_part",
-    "triangle_part",
-    "link_quad_boundary",
-    "cycle_imbalance",
-    "cycle_test",
-    "boundary_test",
-    "LiftResult",
-    "lift",
-    "NormalityReport",
-    "verify_normal",
-    "load_quads",
-    "quads_doc",
-    "load_normal_coords",
-    "normal_coords_doc",
-]
 
 NORMAL = "Normal"
 SPUN_NORMAL = "SpunNormal"
@@ -171,74 +149,22 @@ def cycle_test(tri, q, vertex):
     return not cycle_imbalance(tri, q, vertex)
 
 
-def _dual_tree(tri, link, root):
-    """A spanning tree of the link's dual graph, grown breadth first from
-    the triangle at position ``root`` of ``link.triangles``.
-
-    Returns (steps, closing).  A step (k, d, nb, s) crosses the tree arc at
-    position k of ``link.arcs`` from triangle d to triangle nb, where s is
-    the arc's sign in the boundary of d (positions index
-    ``link.triangles``).  A closing entry (k, d, nb, s) is an arc outside the
-    tree in the same form.  An arc whose two incidences lie on one triangle
-    cancels in its boundary; it is closing with d = nb.
-    """
-    columns = chains.boundary_matrix(tri).columns
-    arc_pos = {arc: k for k, arc in enumerate(link.arcs)}
-    sides = [[] for _ in link.arcs]
-    for d, disc in enumerate(link.triangles):
-        for arc, sign in columns[disc]:
-            sides[arc_pos[arc]].append((d, sign))
-    neighbours = [[] for _ in link.triangles]
-    closing = []
-    for k, incidences in enumerate(sides):
-        if incidences:
-            (d, s), (nb, _) = incidences
-            neighbours[d].append((k, nb, s))
-            neighbours[nb].append((k, d, -s))
-        else:
-            closing.append((k, root, root, 1))
-    steps = []
-    used = [False] * len(link.arcs)
-    seen = [False] * len(link.triangles)
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        d = queue.popleft()
-        for k, nb, s in neighbours[d]:
-            if used[k]:
-                continue
-            used[k] = True
-            if seen[nb]:
-                closing.append((k, d, nb, s))
-            else:
-                seen[nb] = True
-                steps.append((k, d, nb, s))
-                queue.append(nb)
-    return steps, closing
-
-
 def boundary_test(tri, q, vertex, root=None):
     """Decide whether the link's quad boundary b bounds in the link.
 
     Returns (ok, witness, reason): on success ``witness`` is the integer
     potential w over the link's triangles (ordered as ``link.triangles``)
-    with boundary -b, zero at position ``root`` (default the last
-    triangle).  It is unique up to adding a constant, which is a multiple of
-    the link's fundamental class.  Otherwise ``reason`` is
-    ``"no rational solution"``: an arc outside the tree does not balance.
+    with boundary -b, zero at position ``root``.  The default root is the
+    last triangle, whose tree ``link.tree`` was built at parse; another root
+    builds its own tree.  The potential is unique up to adding a constant,
+    which is a multiple of the link's fundamental class.  Otherwise
+    ``reason`` is ``"no rational solution"``: an arc outside the tree does
+    not balance.
     An integer obstruction cannot occur, since the first homology of a
     closed orientable surface has no torsion.
     """
     link = tri.links[vertex]
-    if root is None:
-        key = ("dual-tree", vertex)
-        tree = tri._cache.get(key)
-        if tree is None:
-            tree = _dual_tree(tri, link, len(link.triangles) - 1)
-            tri._cache[key] = tree
-    else:
-        tree = _dual_tree(tri, link, root)
-    steps, closing = tree
+    steps, closing = link.tree if root is None else dual_tree(link, root)
     b = link_quad_boundary(tri, q, vertex)
     w = [0] * len(link.triangles)
     for k, d, nb, s in steps:
@@ -358,10 +284,6 @@ def load_quads(doc, tet_count):
             raise ValueError("malformed quad row for tetrahedron %d" % tet)
         flat.extend(row)
     return flat
-
-
-def quads_doc(q):
-    return {"quads": [list(q[i:i + 3]) for i in range(0, len(q), 3)]}
 
 
 def load_normal_coords(doc, tet_count):

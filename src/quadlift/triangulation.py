@@ -10,6 +10,9 @@ Conventions used throughout the package:
   correspondence, stored internally as a permutation of {0,1,2,3} that maps
   the corners of the source face to the corners of the target face and the
   omitted vertex to the omitted vertex.
+* Tetrahedron i has 7 normal disc types, disc index 7i+j: the triangles
+  cutting off vertex j at j=0..3 and the quadrilaterals Q1, Q2, Q3 at
+  j=4..6, where Qk separates edge {0,k} from the opposite edge.
 * Tetrahedra carry orientation signs (+1/-1) such that every gluing reverses
   the induced face orientation; edge classes carry a direction, fixed by the
   lexicographically least local representative.
@@ -20,25 +23,6 @@ at manifold points).  Links are built and checked on construction.
 """
 
 import json
-
-__all__ = [
-    "FACE_CORNERS",
-    "LOCAL_EDGES",
-    "TriangulationError",
-    "FaceClass",
-    "EdgeClass",
-    "VertexClass",
-    "Triangulation",
-    "parse_triangulation",
-    "orient",
-    "orient_edges",
-    "perm_sign",
-    "quad_corner_in_face",
-    "quad_type_through",
-    "triangle_disc",
-    "quad_disc",
-    "disc_info",
-]
 
 # Corners of face slot f, in increasing local-vertex order.
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -52,10 +36,9 @@ _CORNER_SLOT = tuple(
     {v: s for s, v in enumerate(FACE_CORNERS[f])} for f in range(4)
 )
 
-# Disc types per tetrahedron: indices 0..3 are the triangles cutting off the
-# corresponding vertex, 4..6 are the quadrilaterals Q1, Q2, Q3, where Qk
-# separates edge {0,k} from the opposite edge.
-DISC_TYPES = 7
+# _FACE_EDGE[f][v] is the edge of face f opposite its corner v (sorted).
+_FACE_EDGE = tuple({v: tuple(u for u in FACE_CORNERS[f] if u != v)
+                    for v in FACE_CORNERS[f]} for f in range(4))
 
 
 def perm_sign(seq):
@@ -515,11 +498,6 @@ class Triangulation:
         slot = arc % 3
         return fc, slot, FACE_CORNERS[fc.rep[1]][slot]
 
-    def arc_vertex(self, arc):
-        """Vertex class linked by the arc."""
-        fc, _, corner = self.arc_info(arc)
-        return self.vertex_class_of[(fc.rep[0], corner)]
-
     def arc_name(self, arc):
         return "face %d corner %d" % (arc // 3, arc % 3)
 
@@ -533,7 +511,7 @@ class Triangulation:
     def directed_face_edge(self, tet, face_slot, corner):
         """The edge of the face opposite ``corner`` as an ordered local pair
         (tail, head) following the global edge direction."""
-        x, y = (v for v in FACE_CORNERS[face_slot] if v != corner)
+        x, y = _FACE_EDGE[face_slot][corner]
         if self._edge_dir[(tet, x, y)] == 1:
             return x, y
         return y, x
@@ -549,9 +527,6 @@ class Triangulation:
     def cell_name(self, cell):
         e, end = cell
         return "edge %d %s" % (e, "tail" if end == 0 else "head")
-
-    def flipped_edges(self):
-        return self._flipped
 
     def with_edge_flipped(self, edge_class):
         """A copy of this triangulation with one edge direction reversed."""
@@ -594,17 +569,3 @@ def parse_triangulation(source):
     """Parse and validate a triangulation document (JSON text or dict)."""
     return Triangulation(source)
 
-
-def orient(tri):
-    """Tetrahedron orientation signs of ``tri``.
-
-    Orientations are assigned on construction (the first tetrahedron of each
-    connected component gets +1); this is the identity on validated input and
-    exists so the stage can be re-run and checked for determinism.
-    """
-    return tri
-
-
-def orient_edges(tri):
-    """Edge directions of ``tri``; like :func:`orient`, a validated identity."""
-    return tri

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from quadlift import parse_triangulation
 
 DATA = Path(__file__).parent / "data"
+
+# The seeded generators of the benchmark, imported as ``generators``.
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 
 
 def load_doc(name):

@@ -400,6 +400,40 @@ def random_isomorphism(t, rng):
     return tet_perm, vertex_perms
 
 
+def suspended_surface(genus):
+    """The suspension of a genus-g surface: a closed orientable
+    pseudo-manifold with 8g tetrahedra whose two poles have genus-g links.
+
+    The surface is the 4g-gon with sides glued by the word
+    a1 b1 a1^-1 b1^-1 ... ag bg ag^-1 bg^-1 (all corners become one vertex),
+    coned from a centre c into 4g triangles (c, P_i, P_i+1).  Tet 4g*pole + i
+    is the cone from that pole over triangle i, with local vertices 0 = pole,
+    1 = c, 2 = P_i, 3 = P_i+1.  Face 0 is the triangle, glued to the other
+    pole's copy; faces 2 and 3 hold the spokes shared with triangles i+1 and
+    i-1; face 1 holds the polygon side, glued to its partner side reversed.
+    """
+    n = 4 * genus
+
+    def side_partner(i):
+        # a at side 4m pairs with a^-1 at side 4m+2, b at 4m+1 with 4m+3
+        return i + 2 if i % 4 < 2 else i - 2
+
+    def entry(tet, face, corners):
+        return {"tet": tet, "face": face, "corners": corners}
+
+    gluings = []
+    for pole in range(2):
+        base, other = n * pole, n * (1 - pole)
+        for i in range(n):
+            gluings.append([
+                entry(other + i, 0, [1, 2, 3]),
+                entry(base + side_partner(i), 1, [0, 3, 2]),
+                entry(base + (i + 1) % n, 3, [0, 1, 2]),
+                entry(base + (i - 1) % n, 2, [0, 1, 3]),
+            ])
+    return {"tets": 2 * n, "gluings": gluings}
+
+
 def random_matrix(rng, max_rows, max_cols, lo=-4, hi=4):
     m = rng.randint(1, max_rows)
     n = rng.randint(1, max_cols)
@@ -467,7 +501,17 @@ def build_link(tri, vertex):
                 "link of vertex %d is disconnected" % vertex)
 
     return VertexLink(vertex, triangles, arcs, cells, arc_cells,
-                      arc_triangles, chi)
+                      arc_triangles, link_arc_signs(tri, arc_triangles), chi)
+
+
+def link_arc_signs(tri, arc_triangles):
+    """{arc: coefficient of the arc in ``disc_boundary`` of its first
+    triangle}, read from the boundary columns rather than from the sign
+    rule; 0 for an arc whose two sides lie on one triangle and cancel."""
+    from quadlift import disc_boundary
+
+    return {arc: dict(disc_boundary(tri, d1)).get(arc, 0)
+            for arc, (d1, _) in arc_triangles.items()}
 
 
 def link_boundary_matrix(tri, link):

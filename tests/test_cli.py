@@ -149,6 +149,31 @@ def test_no_arguments_exit_64_and_help_exit_zero():
     assert "usage:" in out
 
 
+def test_missing_required_flag_is_a_usage_error():
+    # argparse's own code 2 would read as a SpunNormal verdict
+    code, out, err = invoke("classify", "--tri", path("fig8.json"))
+    assert code == 64
+    assert out == ""
+    assert "usage: quadlift classify" in err
+    assert "the following arguments are required: --quads" in err
+
+
+def test_unknown_flag_is_a_usage_error(tmp_path):
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("1 1 1\n0 0 2\n")
+    code, out, err = invoke("snf", "--matrix", str(mfile), "--bogus", "x")
+    assert code == 64
+    assert out == ""
+    assert "unrecognized arguments: --bogus x" in err
+
+
+def test_subcommand_help_exit_zero():
+    code, out, err = invoke("classify", "--help")
+    assert code == 0
+    assert out.startswith("usage: quadlift classify")
+    assert err == ""
+
+
 def test_snf_malformed_matrix_exit_one(tmp_path):
     bad = tmp_path / "m.txt"
     bad.write_text("not a matrix\n")

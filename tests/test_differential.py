@@ -2,25 +2,20 @@
 
 ``lift`` and ``oracles.smith_lift`` must give the same LiftResult, the
 per-vertex shifts included, on generated triangulations (stacked spheres and
-fig8 covers from perfbench/generators.py) and on every small admissible
-vector of the fixtures.
+fig8 covers from perfbench/generators.py, and suspended surfaces of genus 2
+and 3) and on every small admissible vector of the fixtures.
 """
 
 import itertools
-import os
 import random
-import sys
 
 import pytest
 
 from quadlift import (NORMAL, NOT_NORMAL, SPUN_NORMAL, boundary_test, lift,
                       link_quad_boundary, parse_triangulation, solve_integer)
 from conftest import load_tri
-from oracles import link_boundary_matrix, smith_lift
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench"))
-import generators as gen  # noqa: E402
+from oracles import link_boundary_matrix, smith_lift, suspended_surface
+import generators as gen
 
 
 def generated_queries(tri, rng, cover=None):
@@ -71,6 +66,30 @@ def test_cover_with_a_sphere_vertex():
     queries = generated_queries(tri, random.Random(2))
     queries.append(gen.fig8_spun(3) + [0] * 9)
     assert_same_as_smith(tri, queries)
+
+
+def side_loop(tri, side, multiple=1):
+    """Q1 on both cones over triangle ``side`` of a suspended surface.  Its
+    boundary on each pole link is the polygon side ``side``, a loop that
+    does not bound there, so it is a cycle but not a boundary."""
+    q = [0] * tri.quad_count
+    for tet in (side, side + tri.tet_count // 2):
+        q[3 * tet] = multiple
+    return q
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_suspended_surfaces(genus):
+    tri = parse_triangulation(suspended_surface(genus))
+    rng = random.Random(genus)
+    vectors = gen.edge_link_vectors(tri)
+    sums = [gen.disjoint_sum(rng, vectors) for _ in range(6)]
+    queries = vectors + [q for q in sums if q is not None]
+    queries += [side_loop(tri, side, m)
+                for side in range(4 * genus) for m in (1, 2)]
+    assert len(queries) > len(vectors) + 8 * genus
+    seen = assert_same_as_smith(tri, queries)
+    assert seen == {NORMAL, SPUN_NORMAL}
 
 
 def small_admissible_vectors(tri):

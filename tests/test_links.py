@@ -1,20 +1,18 @@
-import os
 import random
-import sys
 
 import pytest
 
-from quadlift import (IntMatrix, apply_boundary, build_all_links,
-                      fundamental_class, kernel_basis,
-                      link_boundary_restriction_check, parse_triangulation)
-from oracles import build_link, link_boundary_matrix, projection
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench"))
-import generators as gen  # noqa: E402
+from quadlift import (IntMatrix, apply_boundary, boundary_test,
+                      build_all_links, disc_boundary, fundamental_class,
+                      kernel_basis, link_boundary_restriction_check,
+                      parse_triangulation)
+from oracles import (build_link, link_boundary_matrix, projection,
+                     suspended_surface)
+import generators as gen
 
 LINK_FIELDS = ("vertex", "triangles", "arcs", "arc_set", "cells", "arc_cells",
-               "arc_triangles", "euler_characteristic", "genus", "is_sphere")
+               "arc_triangles", "arc_signs", "euler_characteristic", "genus",
+               "is_sphere")
 
 
 def test_double_tet_links_are_two_triangle_spheres(double_tet):
@@ -72,6 +70,80 @@ def test_one_pass_links_match_per_vertex_builder_on_covers(n):
     assert_links_match_per_vertex_builder(parse_triangulation(gen.fig8_cover(n)))
     doc = gen.one_four_move(gen.fig8_cover(n), 0)
     assert_links_match_per_vertex_builder(parse_triangulation(doc))
+
+
+def small_vectors(tri, rng, count):
+    """Random admissible quad vectors with entries up to 2; most are not
+    cycles on every link."""
+    out = []
+    for _ in range(count):
+        q = [0] * tri.quad_count
+        for tet in range(tri.tet_count):
+            k = rng.randrange(4)
+            if k:
+                q[3 * tet + k - 1] = rng.randint(1, 2)
+        out.append(q)
+    return out
+
+
+def assert_tree_invariants(tri):
+    """Every link's stored tree is a breadth-first spanning tree of its dual
+    graph that uses each arc once, with the signs of the boundary columns,
+    and ``boundary_test`` on it agrees with a tree rebuilt at the same root."""
+    rng = random.Random(tri.tet_count)
+    queries = (gen.edge_link_vectors(tri) + [[0] * tri.quad_count]
+               + small_vectors(tri, rng, 8))
+    for v, link in enumerate(tri.links):
+        last = len(link.triangles) - 1
+        steps, closing = link.tree
+        assert len(steps) == last
+        reached = {last}
+        for _, d, nb, _ in steps:
+            assert d in reached and nb not in reached
+            reached.add(nb)
+        assert reached == set(range(len(link.triangles)))
+        entries = steps + closing
+        assert sorted(k for k, _, _, _ in entries) == list(range(len(link.arcs)))
+        for k, d, nb, s in entries:
+            arc = link.arcs[k]
+            assert {link.triangles[d], link.triangles[nb]} == set(
+                link.arc_triangles[arc])
+            coeff = dict(disc_boundary(tri, link.triangles[d])).get(arc, 0)
+            assert s == coeff
+            assert (coeff == 0) == (d == nb)
+        for q in queries:
+            assert boundary_test(tri, q, v) == boundary_test(tri, q, v,
+                                                             root=last)
+
+
+def test_tree_invariants_on_fixtures(all_fixtures):
+    for tri in all_fixtures.values():
+        assert_tree_invariants(tri)
+    # the fixtures include arcs whose two sides lie on one triangle
+    assert any(d == nb for tri in all_fixtures.values() for link in tri.links
+               for _, d, nb, _ in link.tree[1])
+
+
+@pytest.mark.parametrize("moves", [0, 1, 4, 13, 40])
+def test_tree_invariants_on_stacked(moves):
+    assert_tree_invariants(
+        parse_triangulation(gen.stacked(random.Random(moves), moves)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_tree_invariants_on_covers(n):
+    assert_tree_invariants(parse_triangulation(gen.fig8_cover(n)))
+    doc = gen.one_four_move(gen.fig8_cover(n), 0)
+    assert_tree_invariants(parse_triangulation(doc))
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_tree_invariants_on_suspended_surfaces(genus):
+    tri = parse_triangulation(suspended_surface(genus))
+    assert sorted(link.genus for link in tri.links) == [0, 0, genus, genus]
+    assert tri.tet_count == 8 * genus
+    assert_tree_invariants(tri)
+    assert_links_match_per_vertex_builder(tri)
 
 
 def test_triangle_and_arc_partitions(all_fixtures):

@@ -2,8 +2,7 @@ import copy
 
 import pytest
 
-from quadlift import (TriangulationError, parse_triangulation, orient,
-                      orient_edges)
+from quadlift import TriangulationError, parse_triangulation
 from conftest import load_doc
 from oracles import brute_force_class_counts
 
@@ -122,8 +121,6 @@ def test_edge_orientation_convention(all_fixtures):
 
 
 def test_orientation_stages_are_idempotent(double_tet):
-    assert orient(double_tet) is double_tet
-    assert orient_edges(double_tet) is double_tet
     again = parse_triangulation(double_tet.serialize())
     assert again.tet_orientation == double_tet.tet_orientation
     assert again._edge_dir == double_tet._edge_dir
