@@ -18,57 +18,9 @@ Typical use::
     result.canonical_lift        # full disc vector, minimal per vertex
 """
 
-from .triangulation import (
-    FACE_CORNERS,
-    Triangulation,
-    TriangulationError,
-    parse_triangulation,
-    perm_sign,
-    quad_corner_in_face,
-    quad_type_through,
-    triangle_disc,
-)
-from .chains import (
-    arc_sign,
-    face_sides,
-    disc_boundary,
-    boundary_matrix,
-    matching_equations,
-    apply_boundary,
-    apply_matching,
-)
-from .links import (
-    VertexLink,
-    build_all_links,
-    fundamental_class,
-    link_boundary_restriction_check,
-)
-from .intlinalg import (
-    IntMatrix,
-    smith_normal_form,
-    solve_integer,
-    solve_with_smith,
-    kernel_basis,
-    determinant,
-)
-from .solver import (
-    NORMAL,
-    SPUN_NORMAL,
-    NOT_NORMAL,
-    check_admissible,
-    quad_chain,
-    quad_part,
-    triangle_part,
-    link_quad_boundary,
-    cycle_imbalance,
-    cycle_test,
-    boundary_test,
-    LiftResult,
-    lift,
-    verify_normal,
-    load_quads,
-    load_normal_coords,
-    normal_coords_doc,
-)
+from .triangulation import (Triangulation, TriangulationError,
+                            parse_triangulation)
+from .solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL, LiftResult, lift,
+                     verify_normal)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ deterministic: identical input gives byte-identical output.
 
 import argparse
 import json
+import re
 import sys
 
 from . import chains, solver
@@ -239,6 +240,18 @@ def _cmd_verify(args, out):
     return EX_INPUT
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _three_ints(line):
+    """The three integers of a line.  Each token must be ASCII ``-?[0-9]+``:
+    ``int`` alone would also read ``1_0`` as 10 and non-ASCII digits."""
+    tokens = line.split()
+    if len(tokens) != 3 or not all(_INT.fullmatch(t) for t in tokens):
+        raise ValueError
+    return map(int, tokens)
+
+
 def _read_triplets(path):
     """The nonzero entries of a triplet-format matrix file as {(row, col):
     value}; a repeated position keeps its last value.  Every index must lie
@@ -247,12 +260,12 @@ def _read_triplets(path):
     text = _read_text(path)
     try:
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        nrows, ncols, nnz = map(int, lines[0].split())
+        nrows, ncols, nnz = _three_ints(lines[0])
         if min(nrows, ncols, nnz) < 0 or len(lines) - 1 != nnz:
             raise ValueError
         entries = {}
         for ln in lines[1:]:
-            r, c, v = map(int, ln.split())
+            r, c, v = _three_ints(ln)
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError
             entries[(r, c)] = v

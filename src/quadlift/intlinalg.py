@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, integer solving, kernels.
+"""Exact integer linear algebra: Smith normal form and solving with it.
 
 Everything runs over Python integers, which are arbitrary precision, so the
 classical coefficient explosion during elimination cannot overflow.  The
@@ -34,9 +34,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, m, n):
         return cls([[0] * n for _ in range(m)])
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
 
     def mul_vec(self, vec):
         if len(vec) != self.ncols:
@@ -194,64 +191,3 @@ def solve_with_smith(dec, b):
             return SolveResult(None, "no integer solution")
         y[i] = q
     return SolveResult(dec.V.mul_vec(y))
-
-
-def solve_integer(a, b, row_order=None, col_order=None):
-    """One integer solution of A x = b, or the obstruction.
-
-    ``row_order``/``col_order`` optionally permute the matrix before the
-    Smith reduction, changing pivot choices (and hence possibly the witness);
-    the returned solution is expressed in the original coordinates.  Used to
-    check that downstream results do not depend on the particular witness.
-    """
-    if not isinstance(a, IntMatrix):
-        a = IntMatrix(a)
-    if row_order is None and col_order is None:
-        return solve_with_smith(smith_normal_form(a), b)
-    rows = row_order if row_order is not None else range(a.nrows)
-    cols = list(col_order) if col_order is not None else list(range(a.ncols))
-    perm = IntMatrix([[a.rows[i][j] for j in cols] for i in rows])
-    res = solve_with_smith(smith_normal_form(perm), [b[i] for i in rows])
-    if not res.ok:
-        return res
-    x = [0] * a.ncols
-    for k, j in enumerate(cols):
-        x[j] = res.solution[k]
-    return SolveResult(x)
-
-
-def kernel_basis(a):
-    """A lattice basis of the integer kernel of A (columns of V past the rank)."""
-    if not isinstance(a, IntMatrix):
-        a = IntMatrix(a)
-    dec = smith_normal_form(a)
-    return [dec.V.column(j) for j in range(dec.rank, a.ncols)]
-
-
-def determinant(a):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not isinstance(a, IntMatrix):
-        a = IntMatrix(a)
-    if a.nrows != a.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.nrows
-    if n == 0:
-        return 1
-    m = [row[:] for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

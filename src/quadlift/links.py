@@ -10,8 +10,9 @@ characteristic.  Each link also carries a spanning tree of its dual graph
 that the link is connected; ``solver.boundary_test`` walks it.
 """
 
-from .chains import arc_sign, sign_rule
-from .triangulation import (FACE_CORNERS, TriangulationError, triangle_disc)
+from .chains import sign_rule
+from .triangulation import (FACE_CORNERS, TriangulationError,
+                            quad_type_through, triangle_disc)
 
 
 class VertexLink:
@@ -21,32 +22,28 @@ class VertexLink:
     * ``arcs``: global arc indices of its 1-cells, sorted.
     * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head.
     * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc.
-    * ``arc_triangles[arc]``: the two link triangles adjacent along the arc.
-    * ``arc_signs[arc]``: the arc's coefficient in the boundary of
-      ``arc_triangles[arc][0]``; the other triangle has the opposite one.
-      It is 0 when both sides lie on one triangle, where they cancel.
     * ``tree``: the spanning tree of :func:`dual_tree` rooted at the last
       triangle.
+
+    The two link triangles along an arc, and their signs on it, are the
+    arc's entry of the triangulation's ``arc_discs`` (see
+    :func:`build_all_links`).
     """
 
-    __slots__ = ("vertex", "triangles", "arcs", "arc_set", "cells",
-                 "arc_cells", "arc_triangles", "arc_signs",
+    __slots__ = ("vertex", "triangles", "arcs", "cells", "arc_cells",
                  "euler_characteristic", "genus", "is_sphere", "tree")
 
     def __init__(self, vertex, triangles, arcs, cells, arc_cells,
-                 arc_triangles, arc_signs, euler_characteristic):
+                 euler_characteristic, arc_discs):
         self.vertex = vertex
         self.triangles = triangles
         self.arcs = arcs
-        self.arc_set = frozenset(arcs)
         self.cells = cells
         self.arc_cells = arc_cells
-        self.arc_triangles = arc_triangles
-        self.arc_signs = arc_signs
         self.euler_characteristic = euler_characteristic
         self.genus = (2 - euler_characteristic) // 2
         self.is_sphere = euler_characteristic == 2
-        self.tree = dual_tree(self, len(triangles) - 1)
+        self.tree = dual_tree(self, len(triangles) - 1, arc_discs)
 
     def __repr__(self):
         return "VertexLink(vertex %d, %d triangles, chi %d)" % (
@@ -56,16 +53,25 @@ class VertexLink:
 def build_all_links(tri):
     """Build the link of every vertex class in one pass over the face, edge
     and vertex classes; raises if a link is not a closed connected
-    orientable surface."""
+    orientable surface.
+
+    The same pass decides which discs meet each arc, and with what sign, for
+    the whole triangulation.  It stores ``tri.arc_discs[arc] = (s, tri_a,
+    tri_b, quad_a, quad_b)``: the triangle disc ``tri_a`` and the quad
+    ``quad_a`` (an index 3i+k-1 of the quad vector) of the representative
+    side of the arc's face have coefficient ``s`` on the arc, and those of
+    the other side, ``tri_b`` and ``quad_b``, have ``-s``.  On a face glued
+    to another face of its own tetrahedron the two triangles can be one
+    disc, whose terms cancel; the two quads are always different types.
+    """
     count = len(tri.vertex_classes)
     arcs = [[] for _ in range(count)]
     arc_cells = [{} for _ in range(count)]
-    arc_triangles = [{} for _ in range(count)]
-    arc_signs = [{} for _ in range(count)]
+    arc_discs = []
     for fc in tri.face_classes:
         i, f = fc.rep
         sigma = tri.corner_map(i, f)
-        j, _ = tri.partner(i, f)
+        j, g = fc.other
         orientation = tri.tet_orientation[i]
         for slot, corner in enumerate(FACE_CORNERS[f]):
             vertex = tri.vertex_class_of[(i, corner)]
@@ -74,11 +80,12 @@ def build_all_links(tri):
             p, q = tri.directed_face_edge(i, f, corner)
             arc_cells[vertex][arc] = (tri.end_cell(i, corner, p),
                                       tri.end_cell(i, corner, q))
-            d1 = triangle_disc(i, corner)
-            d2 = triangle_disc(j, sigma[corner])
-            arc_triangles[vertex][arc] = (d1, d2)
-            arc_signs[vertex][arc] = (
-                sign_rule(orientation, corner, p, q, f) if d1 != d2 else 0)
+            arc_discs.append((sign_rule(orientation, corner, p, q, f),
+                              triangle_disc(i, corner),
+                              triangle_disc(j, sigma[corner]),
+                              3 * i + quad_type_through(f, corner) - 1,
+                              3 * j + quad_type_through(g, sigma[corner]) - 1))
+    tri.arc_discs = arc_discs = tuple(arc_discs)
     cells = [[] for _ in range(count)]
     for e in tri.edge_classes:
         cells[e.tail_vertex].append((e.index, 0))
@@ -87,13 +94,11 @@ def build_all_links(tri):
         _checked_link(vc.index,
                       tuple(sorted(triangle_disc(t, v) for t, v in vc.members)),
                       tuple(arcs[vc.index]), tuple(sorted(cells[vc.index])),
-                      arc_cells[vc.index], arc_triangles[vc.index],
-                      arc_signs[vc.index])
+                      arc_cells[vc.index], arc_discs)
         for vc in tri.vertex_classes)
 
 
-def _checked_link(vertex, triangles, arcs, cells, arc_cells, arc_triangles,
-                  arc_signs):
+def _checked_link(vertex, triangles, arcs, cells, arc_cells, arc_discs):
     """The VertexLink of these cells, once its Euler characteristic is even
     and its spanning tree reaches every triangle."""
     chi = len(cells) - len(arcs) + len(triangles)
@@ -101,16 +106,17 @@ def _checked_link(vertex, triangles, arcs, cells, arc_cells, arc_triangles,
         raise TriangulationError(
             "link of vertex %d has odd Euler characteristic %d; not an "
             "orientable surface" % (vertex, chi))
-    link = VertexLink(vertex, triangles, arcs, cells, arc_cells,
-                      arc_triangles, arc_signs, chi)
+    link = VertexLink(vertex, triangles, arcs, cells, arc_cells, chi,
+                      arc_discs)
     if len(link.tree[0]) != len(triangles) - 1:
         raise TriangulationError("link of vertex %d is disconnected" % vertex)
     return link
 
 
-def dual_tree(link, root):
+def dual_tree(link, root, arc_discs):
     """A spanning tree of the link's dual graph, grown breadth first from
-    the triangle at position ``root`` of ``link.triangles``.
+    the triangle at position ``root`` of ``link.triangles``; each arc's two
+    triangles and sign are its entry of ``arc_discs``.
 
     Returns (steps, closing).  A step (k, d, nb, s) crosses the tree arc at
     position k of ``link.arcs`` from triangle d to triangle nb, where s is
@@ -124,11 +130,10 @@ def dual_tree(link, root):
     neighbours = [[] for _ in link.triangles]
     closing = []
     for k, arc in enumerate(link.arcs):
-        d1, d2 = link.arc_triangles[arc]
+        s, d1, d2, _, _ = arc_discs[arc]
         d, nb = index[d1], index[d2]
-        s = link.arc_signs[arc]
         if d == nb:
-            closing.append((k, d, d, s))
+            closing.append((k, d, d, 0))
         else:
             neighbours[d].append((k, nb, s))
             neighbours[nb].append((k, d, -s))
@@ -151,36 +156,10 @@ def dual_tree(link, root):
     return steps, closing
 
 
-def fundamental_class(tri, link):
-    """The 2-chain with coefficient 1 on every triangle of the link; a cycle."""
-    chain = [0] * tri.disc_count
-    for disc in link.triangles:
-        chain[disc] = 1
-    return chain
-
-
-def link_boundary_restriction_check(tri, link):
-    """True iff the global boundary map restricts to the link's own boundary
-    map: every link-triangle boundary is supported on the link's arcs, and
-    every arc is bounded by exactly two triangle incidences with opposite
-    signs (the two incidences can lie on the same triangle when a face is
-    glued to another face of its own tetrahedron)."""
-    appearances = {arc: [] for arc in link.arcs}
-    for disc in link.triangles:
-        tet, corner = divmod(disc, 7)
-        for face_slot in range(4):
-            if face_slot == corner:
-                continue
-            arc = tri.arc_of(tet, face_slot, corner)
-            if arc not in link.arc_set:
-                return False
-            appearances[arc].append(arc_sign(tri, tet, face_slot, corner))
-    return all(sorted(signs) == [-1, 1] for signs in appearances.values())
-
-
 # Not used by the package.  perfbench/test_bench.py's tracer test expects
 # every traced target but ``solver.smith_normal_form`` to exist, and
 # ``links.projection`` is one of them.
 def projection(link, chain1):
     """Project a 1-chain onto the arcs of the link (zero elsewhere)."""
-    return [c if arc in link.arc_set else 0 for arc, c in enumerate(chain1)]
+    arcs = set(link.arcs)
+    return [c if arc in arcs else 0 for arc, c in enumerate(chain1)]

@@ -97,39 +97,19 @@ def triangle_part(tri, chain2):
             for tet in range(tri.tet_count) for c in range(4)]
 
 
-def _quad_arcs(tri):
-    """For every arc, the (quad index, sign) pairs of the quads whose
-    boundary meets it: at most one per side of its face."""
-    table = tri._cache.get("quad-arcs")
-    if table is None:
-        columns = chains.boundary_matrix(tri).columns
-        table = [[] for _ in range(tri.arc_count)]
-        for tet in range(tri.tet_count):
-            for k in (1, 2, 3):
-                for arc, sign in columns[quad_disc(tet, k)]:
-                    table[arc].append((3 * tet + k - 1, sign))
-        tri._cache["quad-arcs"] = table
-    return table
-
-
 def link_quad_boundary(tri, q, vertex):
     """Coefficients of the quad chain's boundary on the arcs linking
     ``vertex``, in the order of ``link.arcs``.
 
     Every arc links exactly one vertex class, so the links together carry
-    the whole boundary.
+    the whole boundary.  Each coefficient is s * (q[quad_a] - q[quad_b])
+    for the arc's entry of ``tri.arc_discs``.
     """
     if len(q) != tri.quad_count:
         raise ValueError("expected %d quad coordinates, got %d"
                          % (tri.quad_count, len(q)))
-    table = _quad_arcs(tri)
-    out = []
-    for arc in tri.links[vertex].arcs:
-        value = 0
-        for index, sign in table[arc]:
-            value += q[index] * sign
-        out.append(value)
-    return out
+    rows = [tri.arc_discs[arc] for arc in tri.links[vertex].arcs]
+    return [s * (q[a] - q[b]) for s, _, _, a, b in rows]
 
 
 def cycle_imbalance(tri, q, vertex):
@@ -164,7 +144,8 @@ def boundary_test(tri, q, vertex, root=None):
     closed orientable surface has no torsion.
     """
     link = tri.links[vertex]
-    steps, closing = link.tree if root is None else dual_tree(link, root)
+    steps, closing = (link.tree if root is None
+                      else dual_tree(link, root, tri.arc_discs))
     b = link_quad_boundary(tri, q, vertex)
     w = [0] * len(link.triangles)
     for k, d, nb, s in steps:

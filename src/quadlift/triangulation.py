@@ -52,23 +52,12 @@ def perm_sign(seq):
     return sign
 
 
-def quad_corner_in_face(quad_type, face_slot):
-    """Corner linked by the boundary arc of quad Qk inside the given face.
+def quad_type_through(face_slot, corner):
+    """The quad type whose arc in ``face_slot`` links ``corner``.
 
     Qk separates edge {0,k} from the opposite edge, so it cuts the four
     remaining edges; inside each face the two cut edges share one corner.
     """
-    k = quad_type
-    if face_slot == 0:
-        return k
-    if face_slot == k:
-        return 0
-    return 6 - k - face_slot
-
-
-def quad_type_through(face_slot, corner):
-    """The quad type whose arc in ``face_slot`` links ``corner`` (inverse of
-    :func:`quad_corner_in_face`)."""
     if face_slot == 0:
         return corner
     if corner == 0:
@@ -84,18 +73,6 @@ def quad_disc(tet, quad_type):
     return 7 * tet + 3 + quad_type
 
 
-def disc_info(disc):
-    """Decompose a disc index into (tet, kind, value).
-
-    ``kind`` is ``"triangle"`` with the cut-off corner, or ``"quad"`` with the
-    quad type 1..3.
-    """
-    tet, j = divmod(disc, 7)
-    if j < 4:
-        return tet, "triangle", j
-    return tet, "quad", j - 3
-
-
 class TriangulationError(ValueError):
     """Raised when a document does not describe a valid closed orientable
     3-pseudo-manifold."""
@@ -105,29 +82,29 @@ class _SignedUnionFind:
     """Union-find with a +-1 sign between each element and its class root.
 
     Used for edge identifications, where the sign tracks whether two local
-    copies of an edge are identified preserving or reversing direction.
+    copies of an edge are identified preserving or reversing direction, and
+    with every sign +1 for vertex identifications.
     """
 
     def __init__(self, n):
         self.parent = list(range(n))
         self.sign = [1] * n
 
-    def find(self, x):
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        s = 1
-        for y in reversed(path):
-            s *= self.sign[y]
-            self.parent[y] = x
-            self.sign[y] = s
-        return x
-
     def relation(self, x):
-        """Return (root, sign of x relative to the root)."""
-        r = self.find(x)
-        return r, (1 if x == r else self.sign[x])
+        """Return (root, sign of x relative to the root), pointing every
+        element on the way straight at the root."""
+        parent, sign = self.parent, self.sign
+        root, s = x, 1
+        while parent[root] != root:
+            s *= sign[root]
+            root = parent[root]
+        t = s
+        while x != root:
+            up, flip = parent[x], sign[x]
+            parent[x], sign[x] = root, t
+            t *= flip
+            x = up
+        return root, s
 
     def union(self, x, y, rel):
         """Impose value(x) = rel * value(y); return False on a sign conflict."""
@@ -138,24 +115,6 @@ class _SignedUnionFind:
         self.parent[ry] = rx
         self.sign[ry] = sx * rel * sy
         return True
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
 
 
 class FaceClass:
@@ -228,7 +187,9 @@ class Triangulation:
     Instances are immutable once constructed and safe to share between
     threads.  Construction computes and checks everything: the face, edge and
     vertex classes, tetrahedron orientation signs, edge directions, and the
-    vertex links (which must be closed connected orientable surfaces).
+    vertex links (which must be closed connected orientable surfaces) with
+    the discs meeting each arc (``arc_discs``, see
+    ``links.build_all_links``).
 
     ``flipped_edges`` reverses the canonical direction of the given edge
     classes; classification results must not depend on this and the option
@@ -365,17 +326,18 @@ class Triangulation:
 
     def _compute_vertex_classes(self):
         t = self.tet_count
-        uf = _UnionFind(4 * t)
+        uf = _SignedUnionFind(4 * t)
         for i in range(t):
             for f in range(4):
                 sigma = self._perm[i][f]
                 j, _ = self._partner[i][f]
                 for v in FACE_CORNERS[f]:
-                    uf.union(4 * i + v, 4 * j + sigma[v])
+                    uf.union(4 * i + v, 4 * j + sigma[v], 1)
         members = {}
         for i in range(t):
             for v in range(4):
-                members.setdefault(uf.find(4 * i + v), []).append((i, v))
+                root, _ = uf.relation(4 * i + v)
+                members.setdefault(root, []).append((i, v))
         classes = []
         vertex_class_of = {}
         for group in sorted(members.values()):

@@ -1,13 +1,26 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here is deliberately written against the raw gluing documents (or
-against first principles) rather than against the library's internals, so a
-bug in the package cannot hide in its own oracle.
+The first sections are written against the raw gluing documents (or against
+first principles) rather than against the library's internals, so a bug in
+the package cannot hide in its own oracle.  The later ones are reference
+implementations the package no longer needs: integer solving and kernels,
+the per-disc boundary and the matching equations, and the per-vertex link
+builder and Smith-form lift that the package replaced.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from quadlift.chains import SparseColumns
+from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
+                                solve_with_smith)
+from quadlift.links import VertexLink
+from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL, LiftResult,
+                             boundary_test, check_admissible,
+                             link_quad_boundary, quad_chain)
+from quadlift.triangulation import (TriangulationError, perm_sign, quad_disc,
+                                    triangle_disc)
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
@@ -324,6 +337,67 @@ def box_solve(rows, b, lo=-5, hi=5):
     return rec(0, [0] * m)
 
 
+def solve_integer(a, b, row_order=None, col_order=None):
+    """One integer solution of A x = b, or the obstruction.
+
+    ``row_order``/``col_order`` optionally permute the matrix before the
+    Smith reduction, changing pivot choices (and hence possibly the witness);
+    the returned solution is expressed in the original coordinates.  Used to
+    check that downstream results do not depend on the particular witness.
+    """
+    if not isinstance(a, IntMatrix):
+        a = IntMatrix(a)
+    if row_order is None and col_order is None:
+        return solve_with_smith(smith_normal_form(a), b)
+    rows = row_order if row_order is not None else range(a.nrows)
+    cols = list(col_order) if col_order is not None else list(range(a.ncols))
+    perm = IntMatrix([[a.rows[i][j] for j in cols] for i in rows])
+    res = solve_with_smith(smith_normal_form(perm), [b[i] for i in rows])
+    if not res.ok:
+        return res
+    x = [0] * a.ncols
+    for k, j in enumerate(cols):
+        x[j] = res.solution[k]
+    return SolveResult(x)
+
+
+def kernel_basis(a):
+    """A lattice basis of the integer kernel of A (columns of V past the rank)."""
+    if not isinstance(a, IntMatrix):
+        a = IntMatrix(a)
+    dec = smith_normal_form(a)
+    return [[row[j] for row in dec.V.rows] for j in range(dec.rank, a.ncols)]
+
+
+def determinant(a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if not isinstance(a, IntMatrix):
+        a = IntMatrix(a)
+    if a.nrows != a.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.nrows
+    if n == 0:
+        return 1
+    m = [row[:] for row in a.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 # ----------------------------------------------------------------------
 # relabeling isomorphisms
 
@@ -441,14 +515,142 @@ def random_matrix(rng, max_rows, max_cols, lo=-4, hi=4):
 
 
 # ----------------------------------------------------------------------
+# the per-disc boundary and the matching equations: the references for the
+# arc table that the package builds with its links
+
+def arc_sign(tri, tet, face_slot, corner):
+    """Sign of the arc linking ``corner`` of face ``face_slot`` in the
+    boundary of any disc of ``tet`` meeting it: the orientation of ``tet``
+    times the parity of (corner, p, q, face_slot) for the directed edge
+    (p, q) opposite ``corner``.  ``corner`` must lie in the face.  Opposite
+    on the two sides of every glued face pair."""
+    if corner == face_slot:
+        raise ValueError("corner %d does not lie in face %d" % (corner, face_slot))
+    p, q = tri.directed_face_edge(tet, face_slot, corner)
+    return tri.tet_orientation[tet] * perm_sign((corner, p, q, face_slot))
+
+
+def face_sides(tri, face_class, corner_slot=0):
+    """The two incidences of a face class labeled by the sign of the arc at
+    ``corner_slot``: returns ((tet, face) with +1, (tet, face) with -1).
+
+    The two sides always carry opposite signs for each corner; which side is
+    positive may depend on the corner, since the three edges of a face need
+    not be directed cyclically.
+    """
+    fc = tri.face_classes[face_class]
+    i, f = fc.rep
+    corner = FACE_CORNERS[f][corner_slot]
+    if arc_sign(tri, i, f, corner) == 1:
+        return fc.rep, fc.other
+    return fc.other, fc.rep
+
+
+def disc_boundary(tri, disc):
+    """Boundary of one normal disc as a sorted list of (arc index, sign).
+
+    A triangle cutting off corner c meets the three faces at c; the quad Qk
+    meets all four faces, linking in each the corner shared by the two edges
+    it cuts there.  Coefficients on a common arc are merged.
+    """
+    tet, j = divmod(disc, 7)
+    if j < 4:
+        faces = [(f, j) for f in range(4) if f != j]
+    else:
+        faces = [(f, quad_cut_corner(j - 3, f)) for f in range(4)]
+    coeffs = {}
+    for face_slot, corner in faces:
+        arc = tri.arc_of(tet, face_slot, corner)
+        coeffs[arc] = coeffs.get(arc, 0) + arc_sign(tri, tet, face_slot, corner)
+    return sorted((arc, c) for arc, c in coeffs.items() if c != 0)
+
+
+def boundary_of(tri, chain2):
+    """The boundary of a 2-chain, summed from :func:`disc_boundary`."""
+    out = [0] * tri.arc_count
+    for disc, coeff in enumerate(chain2):
+        if coeff:
+            for arc, sign in disc_boundary(tri, disc):
+                out[arc] += coeff * sign
+    return out
+
+
+def matching_equations(tri):
+    """The classical matching equations as a sparse matrix over disc vectors.
+
+    One equation per (face class, corner): the unsigned count of discs meeting
+    the arc from the representative side minus the count from the other side.
+    Built from incidences only, with no use of the boundary signs, so it
+    serves as an independent oracle for the kernel of the boundary matrix.
+    """
+    cached = tri._cache.get("matching")
+    if cached is not None:
+        return cached
+
+    rep_side = {fc.rep for fc in tri.face_classes}
+    columns = [dict() for _ in range(tri.disc_count)]
+
+    def add(disc, tet, face_slot, corner):
+        arc = tri.arc_of(tet, face_slot, corner)
+        side = 1 if (tet, face_slot) in rep_side else -1
+        col = columns[disc]
+        col[arc] = col.get(arc, 0) + side
+
+    for tet in range(tri.tet_count):
+        for corner in range(4):
+            for face_slot in range(4):
+                if face_slot != corner:
+                    add(triangle_disc(tet, corner), tet, face_slot, corner)
+        for k in (1, 2, 3):
+            for face_slot in range(4):
+                corner = quad_cut_corner(k, face_slot)
+                add(quad_disc(tet, k), tet, face_slot, corner)
+
+    matrix = SparseColumns(
+        tri.arc_count,
+        [sorted((a, v) for a, v in col.items() if v != 0) for col in columns])
+    tri._cache["matching"] = matrix
+    return matrix
+
+
+def apply_matching(tri, chain2):
+    """Evaluate all matching equations on a disc vector."""
+    return matching_equations(tri).apply(chain2)
+
+
+def fundamental_class(tri, link):
+    """The 2-chain with coefficient 1 on every triangle of the link; a cycle."""
+    chain = [0] * tri.disc_count
+    for disc in link.triangles:
+        chain[disc] = 1
+    return chain
+
+
+def link_boundary_restriction_check(tri, link):
+    """True iff the global boundary map restricts to the link's own boundary
+    map: every link-triangle boundary is supported on the link's arcs, and
+    every arc is bounded by exactly two triangle incidences with opposite
+    signs (the two incidences can lie on the same triangle when a face is
+    glued to another face of its own tetrahedron)."""
+    appearances = {arc: [] for arc in link.arcs}
+    for disc in link.triangles:
+        tet, corner = divmod(disc, 7)
+        for face_slot in range(4):
+            if face_slot == corner:
+                continue
+            arc = tri.arc_of(tet, face_slot, corner)
+            if arc not in appearances:
+                return False
+            appearances[arc].append(arc_sign(tri, tet, face_slot, corner))
+    return all(sorted(signs) == [-1, 1] for signs in appearances.values())
+
+
+# ----------------------------------------------------------------------
 # the former library paths: per-vertex link building and the Smith-form lift
 
 def build_link(tri, vertex):
     """The link of one vertex class by a scan of every face class, the way
     the package built each link before it bucketed all links in one pass."""
-    from quadlift.links import VertexLink
-    from quadlift.triangulation import TriangulationError, triangle_disc
-
     vc = tri.vertex_classes[vertex]
     triangles = tuple(sorted(triangle_disc(t, v) for t, v in vc.members))
 
@@ -500,25 +702,13 @@ def build_link(tri, vertex):
             raise TriangulationError(
                 "link of vertex %d is disconnected" % vertex)
 
-    return VertexLink(vertex, triangles, arcs, cells, arc_cells,
-                      arc_triangles, link_arc_signs(tri, arc_triangles), chi)
-
-
-def link_arc_signs(tri, arc_triangles):
-    """{arc: coefficient of the arc in ``disc_boundary`` of its first
-    triangle}, read from the boundary columns rather than from the sign
-    rule; 0 for an arc whose two sides lie on one triangle and cancel."""
-    from quadlift import disc_boundary
-
-    return {arc: dict(disc_boundary(tri, d1)).get(arc, 0)
-            for arc, (d1, _) in arc_triangles.items()}
+    return VertexLink(vertex, triangles, arcs, cells, arc_cells, chi,
+                      tri.arc_discs)
 
 
 def link_boundary_matrix(tri, link):
     """Dense boundary matrix of the link complex: rows follow ``link.arcs``,
     columns follow ``link.triangles``, entries are the disc-boundary signs."""
-    from quadlift import IntMatrix, disc_boundary
-
     row_of = {arc: r for r, arc in enumerate(link.arcs)}
     rows = [[0] * len(link.triangles) for _ in link.arcs]
     for c, disc in enumerate(link.triangles):
@@ -529,16 +719,14 @@ def link_boundary_matrix(tri, link):
 
 def projection(link, chain1):
     """Project a 1-chain onto the arcs of the link (zero elsewhere)."""
-    return [c if arc in link.arc_set else 0 for arc, c in enumerate(chain1)]
+    arcs = set(link.arcs)
+    return [c if arc in arcs else 0 for arc, c in enumerate(chain1)]
 
 
 def partial_boundary(tri, q, vertex):
     """Boundary of the quad 2-chain projected to the arcs linking ``vertex``,
     as a chain over all arcs."""
-    from quadlift import apply_boundary, quad_chain
-
-    return projection(tri.links[vertex],
-                      apply_boundary(tri, quad_chain(tri, q)))
+    return projection(tri.links[vertex], boundary_of(tri, quad_chain(tri, q)))
 
 
 def smith_lift(tri, q, decompositions=None):
@@ -547,15 +735,12 @@ def smith_lift(tri, q, decompositions=None):
     each vertex is the minimum of the Smith witness.  ``decompositions``, a
     dict kept by the caller for one triangulation, saves each link's Smith
     form for the next query."""
-    from quadlift import (NORMAL, NOT_NORMAL, SPUN_NORMAL, LiftResult,
-                          apply_boundary, check_admissible, quad_chain,
-                          smith_normal_form, solve_with_smith)
-
     report = check_admissible(q, tri.tet_count)
     if not report.ok:
         raise ValueError("inadmissible quadrilateral coordinates: %r" % (report,))
 
-    chains = [partial_boundary(tri, q, v) for v in range(len(tri.links))]
+    boundary = boundary_of(tri, quad_chain(tri, q))
+    chains = [projection(link, boundary) for link in tri.links]
     cycle_failures = []
     for link, chain in zip(tri.links, chains):
         sums = {}
@@ -593,7 +778,7 @@ def smith_lift(tri, q, decompositions=None):
         shifts[vertex] = m
         for disc, value in zip(tri.links[vertex].triangles, witness):
             coords[disc] = value - m
-    assert not any(apply_boundary(tri, coords))
+    assert not any(boundary_of(tri, coords))
     return LiftResult(NORMAL, coords, shifts)
 
 
@@ -604,8 +789,6 @@ def check_witness_independence(tri, q, result, rng, trials):
     rooted at every triangle of the link must all, after subtracting their
     minimum, equal the canonical lift on the link's triangles, and must all
     give ``min(w) - w[-1]`` as the vertex's shift."""
-    from quadlift import boundary_test, link_quad_boundary, solve_integer
-
     for v, link in enumerate(tri.links):
         canonical = [result.canonical_lift[d] for d in link.triangles]
         shift = result.per_vertex_shift[v]

@@ -9,20 +9,21 @@ integer comparisons; there are no tolerances anywhere.
 import itertools
 import random
 
-from quadlift import (FACE_CORNERS, IntMatrix, NORMAL, SPUN_NORMAL,
-                      apply_boundary, apply_matching, arc_sign, boundary_test,
-                      cycle_test, fundamental_class, lift,
-                      link_boundary_restriction_check, parse_triangulation,
-                      perm_sign, quad_part, smith_normal_form, solve_integer,
+from quadlift import (NORMAL, SPUN_NORMAL, lift, parse_triangulation,
                       verify_normal)
+from quadlift.chains import apply_boundary
 from quadlift.cli import run as cli_run
+from quadlift.intlinalg import IntMatrix, smith_normal_form
+from quadlift.solver import boundary_test, cycle_test, quad_part
+from quadlift.triangulation import FACE_CORNERS, perm_sign
 
 from conftest import DATA, load_doc
-from oracles import (box_solve, check_witness_independence,
-                     enumerate_matching_solutions, minors_gcd,
-                     random_isomorphism, random_matrix, relabel_doc,
-                     simplex_arc_sign, translate_disc_vector,
-                     translate_quad_vector)
+from oracles import (apply_matching, arc_sign, box_solve,
+                     check_witness_independence, enumerate_matching_solutions,
+                     fundamental_class, link_boundary_restriction_check,
+                     minors_gcd, random_isomorphism, random_matrix,
+                     relabel_doc, simplex_arc_sign, solve_integer,
+                     translate_disc_vector, translate_quad_vector)
 
 SPUN_Q = [0, 0, 1, 0, 0, 2]
 

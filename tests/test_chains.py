@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from quadlift import (FACE_CORNERS, IntMatrix, apply_boundary, apply_matching,
-                      arc_sign, boundary_matrix, disc_boundary, face_sides,
-                      fundamental_class, kernel_basis, matching_equations,
-                      perm_sign, quad_corner_in_face, quad_type_through,
-                      triangle_disc)
-from oracles import quad_cut_corner, quad_type_cutting, simplex_arc_sign
+from quadlift.chains import apply_boundary, boundary_matrix
+from quadlift.intlinalg import IntMatrix
+from quadlift.triangulation import (FACE_CORNERS, perm_sign, quad_type_through,
+                                    triangle_disc)
+from oracles import (apply_matching, arc_sign, disc_boundary, face_sides,
+                     fundamental_class, kernel_basis, matching_equations,
+                     quad_cut_corner, quad_type_cutting, simplex_arc_sign)
 
 
 # ----------------------------------------------------------------------
@@ -98,17 +99,17 @@ def test_triangle_boundary_support(double_tet):
 def test_quad_arc_linking_rule_against_cut_oracle():
     for k in (1, 2, 3):
         for f in range(4):
-            assert quad_corner_in_face(k, f) == quad_cut_corner(k, f)
+            assert quad_type_through(f, quad_cut_corner(k, f)) == k
     for f in range(4):
         for v in FACE_CORNERS[f]:
             assert quad_type_through(f, v) == quad_type_cutting(f, v)
 
 
 def test_quad1_arc_links(double_tet):
-    assert quad_corner_in_face(1, 3) == 2
-    assert quad_corner_in_face(1, 2) == 3
-    assert quad_corner_in_face(1, 1) == 0
-    assert quad_corner_in_face(1, 0) == 1
+    assert quad_type_through(3, 2) == 1
+    assert quad_type_through(2, 3) == 1
+    assert quad_type_through(1, 0) == 1
+    assert quad_type_through(0, 1) == 1
     arcs = disc_boundary(double_tet, 7 * 0 + 4)
     assert len(arcs) == 4
 

@@ -241,6 +241,27 @@ def test_snf_rejects_a_triplet_count_other_than_nnz(tmp_path):
         assert (code, out) == (1, "")
 
 
+def test_snf_rejects_underscores_and_plus_signs(tmp_path):
+    # int() reads "1_0" as 10 and "+3" as 3; a token is -?[0-9]+ only
+    mfile = tmp_path / "m.txt"
+    for body in ("1 1 1\n0 0 1_0\n", "1_0 1 1\n0 0 2\n",
+                 "1 1 1\n0 0 +3\n"):
+        mfile.write_text(body)
+        code, out, err = invoke("snf", "--matrix", str(mfile))
+        assert (code, out) == (1, "")
+        assert "malformed" in err
+
+
+def test_snf_rejects_non_ascii_digits(tmp_path):
+    # int() reads ARABIC-INDIC DIGIT THREE (U+0663) as 3
+    mfile = tmp_path / "m.txt"
+    for body in ("1 1 1\n0 0 \u0663\n", "1 1 1\n\u0660 0 2\n"):
+        mfile.write_text(body, encoding="utf-8")
+        code, out, err = invoke("snf", "--matrix", str(mfile))
+        assert (code, out) == (1, "")
+        assert "malformed" in err
+
+
 def test_snf_ignores_all_zero_rows_and_columns(tmp_path):
     # zero rows and columns do not change the invariant factors
     mfile = tmp_path / "m.txt"

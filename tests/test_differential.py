@@ -1,9 +1,11 @@
-"""The spanning-tree lift against the Smith-form lift it replaced.
+"""The package's fast paths against the reference paths they replaced.
 
 ``lift`` and ``oracles.smith_lift`` must give the same LiftResult, the
 per-vertex shifts included, on generated triangulations (stacked spheres and
 fig8 covers from perfbench/generators.py, and suspended surfaces of genus 2
-and 3) and on every small admissible vector of the fixtures.
+and 3) and on every small admissible vector of the fixtures.  The arc table
+that the link pass builds must give the boundary matrix and the quad
+boundary of every link that the per-disc boundary of the oracles gives.
 """
 
 import itertools
@@ -11,11 +13,42 @@ import random
 
 import pytest
 
-from quadlift import (NORMAL, NOT_NORMAL, SPUN_NORMAL, boundary_test, lift,
-                      link_quad_boundary, parse_triangulation, solve_integer)
-from conftest import load_tri
-from oracles import link_boundary_matrix, smith_lift, suspended_surface
+from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
+from quadlift.chains import boundary_matrix
+from quadlift.solver import boundary_test, link_quad_boundary, quad_chain
+from conftest import load_doc, load_tri
+from oracles import (boundary_of, disc_boundary, link_boundary_matrix,
+                     smith_lift, solve_integer, suspended_surface)
 import generators as gen
+
+ARC_TABLE_DOCS = (
+    [(name, load_doc(name + ".json"))
+     for name in ("double_tet", "fig8", "three_tet", "one_tet", "pentachoron")]
+    + [("stacked-%d" % m, gen.stacked(random.Random(m), m))
+       for m in (0, 1, 4, 13, 40)]
+    + [("cover-%d" % n, gen.fig8_cover(n)) for n in (1, 2, 5, 16)]
+    + [("suspended-%d" % g, suspended_surface(g)) for g in (2, 3)])
+
+
+def assert_arc_table_matches_per_disc_oracle(tri):
+    assert boundary_matrix(tri).columns == [
+        disc_boundary(tri, d) for d in range(tri.disc_count)]
+    for index in range(tri.quad_count):
+        q = [0] * tri.quad_count
+        q[index] = 1
+        boundary = boundary_of(tri, quad_chain(tri, q))
+        for v, link in enumerate(tri.links):
+            assert link_quad_boundary(tri, q, v) == [boundary[arc]
+                                                     for arc in link.arcs]
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in ARC_TABLE_DOCS],
+                         ids=[name for name, _ in ARC_TABLE_DOCS])
+def test_arc_table_matches_per_disc_oracle(doc):
+    tri = parse_triangulation(doc)
+    assert_arc_table_matches_per_disc_oracle(tri)
+    for edge in {0, len(tri.edge_classes) // 2}:
+        assert_arc_table_matches_per_disc_oracle(tri.with_edge_flipped(edge))
 
 
 def generated_queries(tri, rng, cover=None):

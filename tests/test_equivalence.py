@@ -14,7 +14,8 @@ normal q has its (verified) canonical lift inside the enumeration box.
 
 import itertools
 
-from quadlift import NORMAL, cycle_test, lift, quad_part, triangle_part, verify_normal
+from quadlift import NORMAL, lift, verify_normal
+from quadlift.solver import cycle_test, quad_part, triangle_part
 from conftest import load_doc
 from oracles import enumerate_matching_solutions
 

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from quadlift import (IntMatrix, determinant, kernel_basis, smith_normal_form,
-                      solve_integer)
-from oracles import (box_solve, laplace_determinant, link_boundary_matrix,
-                     minors_gcd, random_matrix)
+from quadlift.intlinalg import IntMatrix, smith_normal_form
+from oracles import (box_solve, determinant, kernel_basis, laplace_determinant,
+                     link_boundary_matrix, minors_gcd, random_matrix,
+                     solve_integer)
 
 
 def check_decomposition(a):

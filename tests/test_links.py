@@ -2,17 +2,19 @@ import random
 
 import pytest
 
-from quadlift import (IntMatrix, apply_boundary, boundary_test,
-                      build_all_links, disc_boundary, fundamental_class,
-                      kernel_basis, link_boundary_restriction_check,
-                      parse_triangulation)
-from oracles import (build_link, link_boundary_matrix, projection,
+from quadlift import parse_triangulation
+from quadlift.chains import apply_boundary
+from quadlift.intlinalg import IntMatrix, smith_normal_form
+from quadlift.links import build_all_links
+from quadlift.solver import boundary_test
+from oracles import (build_link, disc_boundary, fundamental_class,
+                     kernel_basis, link_boundary_matrix,
+                     link_boundary_restriction_check, projection,
                      suspended_surface)
 import generators as gen
 
-LINK_FIELDS = ("vertex", "triangles", "arcs", "arc_set", "cells", "arc_cells",
-               "arc_triangles", "arc_signs", "euler_characteristic", "genus",
-               "is_sphere")
+LINK_FIELDS = ("vertex", "triangles", "arcs", "cells", "arc_cells",
+               "euler_characteristic", "genus", "is_sphere")
 
 
 def test_double_tet_links_are_two_triangle_spheres(double_tet):
@@ -49,9 +51,8 @@ def assert_links_match_per_vertex_builder(tri):
         old = build_link(tri, v)
         for name in LINK_FIELDS:
             assert getattr(link, name) == getattr(old, name), name
-        # the dicts also keep the old insertion order
+        # the dict also keeps the old insertion order
         assert list(link.arc_cells) == list(old.arc_cells)
-        assert list(link.arc_triangles) == list(old.arc_triangles)
 
 
 def test_one_pass_links_match_per_vertex_builder_on_fixtures(all_fixtures):
@@ -88,12 +89,19 @@ def small_vectors(tri, rng, count):
 
 def assert_tree_invariants(tri):
     """Every link's stored tree is a breadth-first spanning tree of its dual
-    graph that uses each arc once, with the signs of the boundary columns,
-    and ``boundary_test`` on it agrees with a tree rebuilt at the same root."""
+    graph that uses each arc once, joins the two link triangles whose faces
+    hold the arc, with the signs of the boundary columns, and
+    ``boundary_test`` on it agrees with a tree rebuilt at the same root."""
     rng = random.Random(tri.tet_count)
     queries = (gen.edge_link_vectors(tri) + [[0] * tri.quad_count]
                + small_vectors(tri, rng, 8))
     for v, link in enumerate(tri.links):
+        sides = {arc: [] for arc in link.arcs}
+        for disc in link.triangles:
+            tet, corner = divmod(disc, 7)
+            for f in range(4):
+                if f != corner:
+                    sides[tri.arc_of(tet, f, corner)].append(disc)
         last = len(link.triangles) - 1
         steps, closing = link.tree
         assert len(steps) == last
@@ -106,8 +114,8 @@ def assert_tree_invariants(tri):
         assert sorted(k for k, _, _, _ in entries) == list(range(len(link.arcs)))
         for k, d, nb, s in entries:
             arc = link.arcs[k]
-            assert {link.triangles[d], link.triangles[nb]} == set(
-                link.arc_triangles[arc])
+            assert sorted((link.triangles[d], link.triangles[nb])) == sorted(
+                sides[arc])
             coeff = dict(disc_boundary(tri, link.triangles[d])).get(arc, 0)
             assert s == coeff
             assert (coeff == 0) == (d == nb)
@@ -159,7 +167,8 @@ def test_every_arc_has_two_link_triangles(all_fixtures):
     for tri in all_fixtures.values():
         for link in tri.links:
             for arc in link.arcs:
-                assert len(link.arc_triangles[arc]) == 2
+                _, tri_a, tri_b, _, _ = tri.arc_discs[arc]
+                assert {tri_a, tri_b} <= set(link.triangles)
 
 
 def test_fundamental_class_is_a_cycle(all_fixtures):
@@ -205,7 +214,6 @@ def test_link_kernel_is_fundamental_class(all_fixtures):
 
 def test_link_chain_identity(all_fixtures):
     # the simplicial boundary of every link-triangle boundary vanishes
-    from quadlift import disc_boundary
     for tri in all_fixtures.values():
         for link in tri.links:
             for disc in link.triangles:
@@ -219,7 +227,6 @@ def test_link_chain_identity(all_fixtures):
 
 def test_link_homology_ranks(fig8, double_tet):
     # torus link: H1 rank 2; sphere link: H1 rank 0
-    from quadlift import smith_normal_form
     for tri, expected in ((fig8, 2), (double_tet, 0)):
         link = tri.links[0]
         cell_pos = {c: i for i, c in enumerate(link.cells)}

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from quadlift import (NORMAL, NOT_NORMAL, SPUN_NORMAL, apply_boundary,
-                      arc_sign, boundary_test, check_admissible, cycle_test,
-                      lift, link_quad_boundary, load_normal_coords, load_quads,
-                      quad_chain, quad_corner_in_face, quad_part,
-                      verify_normal)
+from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, verify_normal
+from quadlift.chains import apply_boundary
+from quadlift.solver import (boundary_test, check_admissible, cycle_test,
+                             link_quad_boundary, load_normal_coords,
+                             load_quads, quad_chain, quad_part)
 from conftest import load_doc
-from oracles import (check_witness_independence, enumerate_matching_solutions,
-                     link_boundary_matrix, partial_boundary)
+from oracles import (arc_sign, check_witness_independence,
+                     enumerate_matching_solutions, link_boundary_matrix,
+                     partial_boundary, quad_cut_corner)
 
 SPUN_Q = [0, 0, 1, 0, 0, 2]  # frozen spun-normal fixture on fig8
 
@@ -64,13 +65,14 @@ def test_partial_boundary_direct_recomputation(acceptance_fixtures):
                         if not coeff:
                             continue
                         for f in range(4):
-                            corner = quad_corner_in_face(k, f)
+                            corner = quad_cut_corner(k, f)
                             if tri.vertex_class_of[(tet, corner)] != v:
                                 continue
                             arc = tri.arc_of(tet, f, corner)
                             expect[arc] += coeff * arc_sign(tri, tet, f, corner)
+                arcs = set(link.arcs)
                 assert not any(expect[arc] for arc in range(tri.arc_count)
-                               if arc not in link.arc_set)
+                               if arc not in arcs)
                 assert link_quad_boundary(tri, q, v) == [expect[arc]
                                                          for arc in link.arcs]
                 assert partial_boundary(tri, q, v) == expect

@@ -92,7 +92,7 @@ def test_first_tet_of_component_positive(all_fixtures):
 
 
 def test_orientation_relation(all_fixtures):
-    from quadlift import perm_sign
+    from quadlift.triangulation import perm_sign
     for tri in all_fixtures.values():
         for i in range(tri.tet_count):
             for f in range(4):
