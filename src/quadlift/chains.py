@@ -17,87 +17,67 @@ positively embedded tetrahedron, the orientation of the frame (outward in-face
 normal at the edge midpoint, outward face normal, edge direction); the test
 suite checks the rule against that determinant computation directly.  The
 rule is applied once per arc, by the pass that builds the vertex links
-(``links.build_all_links``), which records the discs meeting every arc in
-``tri.arc_discs``; the boundary matrix is that table read per disc.
+(``links.build_all_links``, from a table of the parities), which records the
+discs meeting every arc in ``tri.arc_discs``; the boundary matrix reads that
+table.
 """
 
-from itertools import permutations
 
-from .triangulation import perm_sign
+class BoundaryMatrix:
+    """The boundary matrix from discs to arcs (3*|faces| rows, 7t columns)
+    in five flat sequences, one entry per arc: row ``arc`` is s * (tri_a -
+    tri_b + quad_a - quad_b) for the arc's entry of ``tri.arc_discs``, the
+    quads as disc indices; two equal discs cancel."""
 
-# perm_sign of every ordering of the four local vertices
-_ORDER_SIGN = {order: perm_sign(order) for order in permutations(range(4))}
+    __slots__ = ("nrows", "ncols", "signs", "tri_a", "tri_b", "quad_a",
+                 "quad_b")
 
-
-def sign_rule(orientation, corner, p, q, face_slot):
-    """The sign rule above: ``orientation`` of the tetrahedron times the
-    parity of (corner, p, q, face_slot), for the directed edge (p, q) of the
-    face opposite ``corner``."""
-    return orientation * _ORDER_SIGN[(corner, p, q, face_slot)]
-
-
-class SparseColumns:
-    """A sparse integer matrix stored per column as (row, value) lists."""
-
-    __slots__ = ("nrows", "ncols", "columns")
-
-    def __init__(self, nrows, columns):
-        self.nrows = nrows
-        self.ncols = len(columns)
-        self.columns = columns
+    def __init__(self, tri):
+        self.nrows = tri.arc_count
+        self.ncols = tri.disc_count
+        self.signs, self.tri_a, self.tri_b, quad_a, quad_b = zip(
+            *tri.arc_discs)
+        # quad index 3i+k-1 is disc 7i+3+k
+        self.quad_a = [q + 4 * (q // 3) + 4 for q in quad_a]
+        self.quad_b = [q + 4 * (q // 3) + 4 for q in quad_b]
 
     def apply(self, vec):
         """Matrix-vector product for a dense integer vector."""
         if len(vec) != self.ncols:
             raise ValueError("vector length %d != %d columns"
                              % (len(vec), self.ncols))
-        out = [0] * self.nrows
-        for c, coeff in enumerate(vec):
-            if coeff:
-                for r, v in self.columns[c]:
-                    out[r] += coeff * v
-        return out
+        return [s * (vec[a] - vec[b] + vec[c] - vec[d]) for s, a, b, c, d
+                in zip(self.signs, self.tri_a, self.tri_b, self.quad_a,
+                       self.quad_b)]
 
-    def to_dense(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for c, col in enumerate(self.columns):
-            for r, v in col:
-                rows[r][c] = v
-        return rows
+    @property
+    def columns(self):
+        """Column j as the list of its nonzero (arc, value), arcs ascending."""
+        columns = [[] for _ in range(self.ncols)]
+        for arc, (s, a, b, c, d) in enumerate(zip(
+                self.signs, self.tri_a, self.tri_b, self.quad_a, self.quad_b)):
+            for x, y in ((a, b), (c, d)):
+                if x != y:
+                    columns[x].append((arc, s))
+                    columns[y].append((arc, -s))
+        return columns
 
     def triplets(self):
         """All nonzero entries as (row, col, value), in row-major order."""
-        out = []
-        for c, col in enumerate(self.columns):
-            for r, v in col:
-                out.append((r, c, v))
-        out.sort()
-        return out
+        return sorted((r, c, v) for c, col in enumerate(self.columns)
+                      for r, v in col)
 
     @property
     def nnz(self):
-        return sum(len(col) for col in self.columns)
+        return 2 * sum((a != b) + (c != d) for a, b, c, d in zip(
+            self.tri_a, self.tri_b, self.quad_a, self.quad_b))
 
 
 def boundary_matrix(tri):
-    """The boundary matrix from discs to arcs (3*|faces| rows, 7t columns).
-
-    Column j is the boundary of disc j, read from ``tri.arc_discs`` (built
-    with the links) in ascending arc order; the result is cached on the
-    triangulation.
-    """
+    """The boundary matrix of ``tri``, cached on the triangulation."""
     cached = tri._cache.get("boundary")
     if cached is None:
-        columns = [[] for _ in range(tri.disc_count)]
-        for arc, (s, tri_a, tri_b, quad_a, quad_b) in enumerate(tri.arc_discs):
-            # quad index 3i+k-1 is disc 7i+3+k
-            for a, b in ((tri_a, tri_b), (quad_a + 4 * (quad_a // 3 + 1),
-                                          quad_b + 4 * (quad_b // 3 + 1))):
-                if a != b:
-                    columns[a].append((arc, s))
-                    columns[b].append((arc, -s))
-        cached = SparseColumns(tri.arc_count, columns)
-        tri._cache["boundary"] = cached
+        cached = tri._cache["boundary"] = BoundaryMatrix(tri)
     return cached
 
 

@@ -38,9 +38,9 @@ class _InputError(Exception):
         self.code = code
 
 
-def _read_text(path):
+def _read_text(path, newline=None):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
             return handle.read()
     except OSError as exc:
         raise _InputError("cannot read %s: %s" % (path, exc.strerror or exc),
@@ -240,26 +240,31 @@ def _cmd_verify(args, out):
     return EX_INPUT
 
 
-_INT = re.compile(r"-?[0-9]+")
+_TRIPLET = re.compile(
+    r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*")
 
 
 def _three_ints(line):
-    """The three integers of a line.  Each token must be ASCII ``-?[0-9]+``:
-    ``int`` alone would also read ``1_0`` as 10 and non-ASCII digits."""
-    tokens = line.split()
-    if len(tokens) != 3 or not all(_INT.fullmatch(t) for t in tokens):
+    """The three integers of a line: ASCII ``-?[0-9]+`` numbers separated
+    by spaces and tabs.  ``int`` alone would also read ``1_0`` as 10 and
+    non-ASCII digits, and ``str.split`` also splits at non-ASCII spaces."""
+    match = _TRIPLET.fullmatch(line)
+    if match is None:
         raise ValueError
-    return map(int, tokens)
+    return map(int, match.groups())
 
 
 def _read_triplets(path):
     """The nonzero entries of a triplet-format matrix file as {(row, col):
     value}; a repeated position keeps its last value.  Every index must lie
     inside the header's shape and the file must hold exactly ``nnz``
-    triplets."""
-    text = _read_text(path)
+    triplets.  Lines end at ``\n`` (one ``\r`` before it is dropped); a
+    line of spaces and tabs is skipped."""
+    text = _read_text(path, newline="")
     try:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln[:-1] if ln.endswith("\r") else ln
+                 for ln in text.split("\n")]
+        lines = [ln for ln in lines if ln.strip(" \t")]
         nrows, ncols, nnz = _three_ints(lines[0])
         if min(nrows, ncols, nnz) < 0 or len(lines) - 1 != nnz:
             raise ValueError

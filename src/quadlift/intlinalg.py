@@ -27,32 +27,11 @@ class IntMatrix:
                     raise TypeError("non-integer entry %r" % (x,))
         self.rows = rows
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)])
-
     def mul_vec(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("vector length %d != %d columns"
                              % (len(vec), self.ncols))
         return [sum(a * x for a, x in zip(row, vec)) for row in self.rows]
-
-    def __mul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch %dx%d * %dx%d"
-                             % (self.nrows, self.ncols, other.nrows, other.ncols))
-        cols = list(zip(*other.rows)) if other.rows else []
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                          for row in self.rows])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.rows,)

@@ -10,9 +10,27 @@ characteristic.  Each link also carries a spanning tree of its dual graph
 that the link is connected; ``solver.boundary_test`` walks it.
 """
 
-from .chains import sign_rule
-from .triangulation import (FACE_CORNERS, TriangulationError,
-                            quad_type_through, triangle_disc)
+from .triangulation import (ARC_EDGES, FACE_CORNERS, PERMS,
+                            TriangulationError, perm_sign, quad_type_through)
+
+
+def _arc_rows(f, sigma):
+    """Per corner v of face f glued by sigma: (v, sigma[v], the quad
+    offsets k-1 through the arc on each side, the local edge of its edge
+    {x, y}, the sign rule of ``chains`` for orientation +1 and x->y, and the
+    local edges of its end cells, each with +1 when v is the lower end)."""
+    rows = []
+    for v in FACE_CORNERS[f]:
+        x, y, k, kx, ky = ARC_EDGES[f][v]
+        rows.append((v, sigma[v], quad_type_through(f, v) - 1,
+                     quad_type_through(sigma[f], sigma[v]) - 1,
+                     k, perm_sign((v, x, y, f)),
+                     kx, 1 if v < x else -1, ky, 1 if v < y else -1))
+    return tuple(rows)
+
+
+# _ARC_ROWS[24 * f + p]: the rows of face f glued by PERMS[p].
+_ARC_ROWS = tuple(_arc_rows(f, sigma) for f in range(4) for sigma in PERMS)
 
 
 class VertexLink:
@@ -65,35 +83,48 @@ def build_all_links(tri):
     disc, whose terms cancel; the two quads are always different types.
     """
     count = len(tri.vertex_classes)
+    vertex_class = tri.vertex_class_at
+    edge_class, edge_dir = tri.edge_class_at, tri.edge_direction_at
+    orientation, perm = tri.tet_orientation, tri._perm
+    # one tuple per 0-cell (edge class, end), shared by every arc there
+    cell = [(e, end) for e in range(len(tri.edge_classes)) for end in (0, 1)]
     arcs = [[] for _ in range(count)]
     arc_cells = [{} for _ in range(count)]
     arc_discs = []
-    for fc in tri.face_classes:
-        i, f = fc.rep
-        sigma = tri.corner_map(i, f)
-        j, g = fc.other
-        orientation = tri.tet_orientation[i]
-        for slot, corner in enumerate(FACE_CORNERS[f]):
-            vertex = tri.vertex_class_of[(i, corner)]
-            arc = 3 * fc.index + slot
+    # face classes in the order of their representative slots x < y
+    for x, y in enumerate(tri._partner):
+        if y < x:
+            continue
+        i, j = x >> 2, y >> 2
+        o = orientation[i]
+        for (v, image, quad_a, quad_b, k, s, kx, lx, ky, ly
+             ) in _ARC_ROWS[24 * (x & 3) + perm[x]]:
+            vertex = vertex_class[4 * i + v]
+            arc = len(arc_discs)
             arcs[vertex].append(arc)
-            p, q = tri.directed_face_edge(i, f, corner)
-            arc_cells[vertex][arc] = (tri.end_cell(i, corner, p),
-                                      tri.end_cell(i, corner, q))
-            arc_discs.append((sign_rule(orientation, corner, p, q, f),
-                              triangle_disc(i, corner),
-                              triangle_disc(j, sigma[corner]),
-                              3 * i + quad_type_through(f, corner) - 1,
-                              3 * j + quad_type_through(g, sigma[corner]) - 1))
+            kx += 6 * i
+            ky += 6 * i
+            # the cell on edge {v, x} is its tail (end 0) when v is the tail,
+            # that is when the edge's direction equals lx
+            cell_x = cell[2 * edge_class[kx] + ((1 - edge_dir[kx] * lx) >> 1)]
+            cell_y = cell[2 * edge_class[ky] + ((1 - edge_dir[ky] * ly) >> 1)]
+            if edge_dir[6 * i + k] == 1:
+                arc_cells[vertex][arc] = (cell_x, cell_y)
+            else:
+                arc_cells[vertex][arc] = (cell_y, cell_x)
+                s = -s
+            arc_discs.append((o * s, 7 * i + v, 7 * j + image,
+                              3 * i + quad_a, 3 * j + quad_b))
     tri.arc_discs = arc_discs = tuple(arc_discs)
     cells = [[] for _ in range(count)]
     for e in tri.edge_classes:
-        cells[e.tail_vertex].append((e.index, 0))
-        cells[e.head_vertex].append((e.index, 1))
+        cells[e.tail_vertex].append(cell[2 * e.index])
+        cells[e.head_vertex].append(cell[2 * e.index + 1])
+    # slots (disc 7i+v of slot 4i+v) and edge classes come in index order,
+    # so triangles and cells are sorted
     return tuple(
-        _checked_link(vc.index,
-                      tuple(sorted(triangle_disc(t, v) for t, v in vc.members)),
-                      tuple(arcs[vc.index]), tuple(sorted(cells[vc.index])),
+        _checked_link(vc.index, tuple(x + 3 * (x >> 2) for x in vc.slots),
+                      tuple(arcs[vc.index]), tuple(cells[vc.index]),
                       arc_cells[vc.index], arc_discs)
         for vc in tri.vertex_classes)
 

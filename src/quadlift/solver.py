@@ -79,9 +79,9 @@ def quad_chain(tri, q):
         raise ValueError("expected %d quad coordinates, got %d"
                          % (tri.quad_count, len(q)))
     chain = [0] * tri.disc_count
-    for tet in range(tri.tet_count):
-        for k in (1, 2, 3):
-            chain[quad_disc(tet, k)] = q[3 * tet + k - 1]
+    for k in (1, 2, 3):
+        # q[3i+k-1], quad Qk of tetrahedron i, is disc 7i+3+k
+        chain[3 + k::7] = q[k - 1::3]
     return chain
 
 
@@ -89,12 +89,6 @@ def quad_part(tri, chain2):
     """Extract the quad vector of a 2-chain."""
     return [chain2[quad_disc(tet, k)]
             for tet in range(tri.tet_count) for k in (1, 2, 3)]
-
-
-def triangle_part(tri, chain2):
-    """Extract the triangle coordinates of a 2-chain (4 per tetrahedron)."""
-    return [chain2[7 * tet + c]
-            for tet in range(tri.tet_count) for c in range(4)]
 
 
 def link_quad_boundary(tri, q, vertex):
@@ -123,10 +117,6 @@ def cycle_imbalance(tri, q, vertex):
             sums[head] = sums.get(head, 0) + coeff
             sums[tail] = sums.get(tail, 0) - coeff
     return {cell: s for cell, s in sorted(sums.items()) if s != 0}
-
-
-def cycle_test(tri, q, vertex):
-    return not cycle_imbalance(tri, q, vertex)
 
 
 def boundary_test(tri, q, vertex, root=None):
@@ -215,7 +205,7 @@ def lift(tri, q):
             coords[disc] = value - m
 
     residue = chains.apply_boundary(tri, coords)
-    if any(residue) or any(x < 0 for x in coords):
+    if any(residue) or min(coords) < 0:
         raise AssertionError("canonical lift failed its own postconditions")
     return LiftResult(NORMAL, coords, shifts)
 

@@ -6,10 +6,14 @@ Conventions used throughout the package:
   omitting local vertex ``f``; its corners, listed in increasing order, are
   ``FACE_CORNERS[f]``.
 * Every face slot is glued to exactly one other face slot and the pairing is
-  an involution, so the complex is closed.  A gluing carries a corner
-  correspondence, stored internally as a permutation of {0,1,2,3} that maps
-  the corners of the source face to the corners of the target face and the
-  omitted vertex to the omitted vertex.
+  an involution, so the complex is closed.  A gluing is a permutation of
+  {0,1,2,3} taking the corners of the source face to those of the target
+  face and the omitted vertex to the omitted vertex.
+* Per-slot data lives in flat sequences: face slot f of tetrahedron i at
+  4i+f (its partner slot 4j+g, the index of its gluing in ``PERMS``, and
+  ``face_class_at``), local vertex v at 4i+v (``vertex_class_at``), and
+  local edge {a,b} at 6i+k, k its index in ``LOCAL_EDGES`` (``edge_class_at``
+  and ``edge_direction_at``, +1 where the class runs a->b for a < b).
 * Tetrahedron i has 7 normal disc types, disc index 7i+j: the triangles
   cutting off vertex j at j=0..3 and the quadrilaterals Q1, Q2, Q3 at
   j=4..6, where Qk separates edge {0,k} from the opposite edge.
@@ -23,6 +27,7 @@ at manifold points).  Links are built and checked on construction.
 """
 
 import json
+from itertools import combinations, permutations
 
 # Corners of face slot f, in increasing local-vertex order.
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -30,15 +35,6 @@ FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 # The six local edges of a tetrahedron as sorted vertex pairs.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _EDGE_SLOT = {pair: k for k, pair in enumerate(LOCAL_EDGES)}
-
-# _CORNER_SLOT[f][v] is the position of corner v inside FACE_CORNERS[f].
-_CORNER_SLOT = tuple(
-    {v: s for s, v in enumerate(FACE_CORNERS[f])} for f in range(4)
-)
-
-# _FACE_EDGE[f][v] is the edge of face f opposite its corner v (sorted).
-_FACE_EDGE = tuple({v: tuple(u for u in FACE_CORNERS[f] if u != v)
-                    for v in FACE_CORNERS[f]} for f in range(4))
 
 
 def perm_sign(seq):
@@ -50,6 +46,53 @@ def perm_sign(seq):
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
+
+
+def _slot(a, b):
+    """The index in LOCAL_EDGES of the edge {a, b}."""
+    return _EDGE_SLOT[(a, b) if a < b else (b, a)]
+
+
+def _edge_name(x):
+    """(tet, a, b) of the local edge {a, b} (a < b) at flat index x."""
+    i, k = divmod(x, 6)
+    return (i,) + LOCAL_EDGES[k]
+
+
+# Gluings are stored as indices into PERMS, the 24 permutations of {0,1,2,3}.
+PERMS = tuple(permutations(range(4)))
+_PERM_INVERSE = tuple(PERMS.index(tuple(map(sigma.index, range(4))))
+                      for sigma in PERMS)
+_PERM_SIGN = tuple(map(perm_sign, PERMS))
+
+# _GLUING[(f, g, c0, c1, c2)] is the permutation taking face f to face g and
+# the corners FACE_CORNERS[f] to c0, c1, c2.  A key is there exactly when it
+# describes a bijection of the two faces.
+_GLUING = {(f, sigma[f]) + tuple(sigma[v] for v in FACE_CORNERS[f]): p
+           for p, sigma in enumerate(PERMS) for f in range(4)}
+
+# _EDGE_UNIONS[24 * f + p] lists (k, k', rel) for the edges (c0, c1),
+# (c0, c2), (c1, c2) of face f = (c0, c1, c2) glued by PERMS[p]: the gluing
+# takes local edge k to edge k' of the partner tetrahedron, min->max to
+# min->max when rel is +1.
+_EDGE_UNIONS = tuple(
+    tuple((_slot(a, b), _slot(sigma[a], sigma[b]),
+           1 if sigma[a] < sigma[b] else -1)
+          for a, b in combinations(FACE_CORNERS[f], 2))
+    for f in range(4) for sigma in PERMS)
+
+
+def _arc_edges(f, v):
+    x, y = (u for u in FACE_CORNERS[f] if u != v)
+    return x, y, _slot(x, y), _slot(v, x), _slot(v, y)
+
+
+# ARC_EDGES[f][v] = (x, y, k, kx, ky) for the arc of face f linking its
+# corner v: the edge {x, y} of the face opposite v (x < y) is local edge k,
+# and the edges {v, x} and {v, y}, which hold the arc's end cells, are kx
+# and ky.
+ARC_EDGES = tuple({v: _arc_edges(f, v) for v in FACE_CORNERS[f]}
+                  for f in range(4))
 
 
 def quad_type_through(face_slot, corner):
@@ -65,10 +108,6 @@ def quad_type_through(face_slot, corner):
     return 6 - face_slot - corner
 
 
-def triangle_disc(tet, corner):
-    return 7 * tet + corner
-
-
 def quad_disc(tet, quad_type):
     return 7 * tet + 3 + quad_type
 
@@ -78,43 +117,35 @@ class TriangulationError(ValueError):
     3-pseudo-manifold."""
 
 
-class _SignedUnionFind:
-    """Union-find with a +-1 sign between each element and its class root.
-
-    Used for edge identifications, where the sign tracks whether two local
-    copies of an edge are identified preserving or reversing direction, and
-    with every sign +1 for vertex identifications.
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-
-    def relation(self, x):
-        """Return (root, sign of x relative to the root), pointing every
-        element on the way straight at the root."""
-        parent, sign = self.parent, self.sign
-        root, s = x, 1
-        while parent[root] != root:
-            s *= sign[root]
-            root = parent[root]
-        t = s
-        while x != root:
-            up, flip = parent[x], sign[x]
-            parent[x], sign[x] = root, t
-            t *= flip
-            x = up
-        return root, s
-
-    def union(self, x, y, rel):
-        """Impose value(x) = rel * value(y); return False on a sign conflict."""
-        rx, sx = self.relation(x)
-        ry, sy = self.relation(y)
-        if rx == ry:
-            return sx == rel * sy
-        self.parent[ry] = rx
-        self.sign[ry] = sx * rel * sy
-        return True
+def _gluing_of(t, i, f, j, g, corners):
+    """The permutation index of the gluing of tetrahedron i face f to
+    tetrahedron j face g with these corners; raises the error of an entry
+    that does not describe one."""
+    if not (type(j) is int and 0 <= j < t):
+        raise TriangulationError(
+            "tetrahedron %d face %d glued to unknown tetrahedron %r"
+            % (i, f, j))
+    if not (type(g) is int and 0 <= g <= 3):
+        raise TriangulationError(
+            "tetrahedron %d face %d glued to unknown face %r" % (i, f, g))
+    if (j, g) == (i, f):
+        raise TriangulationError(
+            "tetrahedron %d face %d glued to itself" % (i, f))
+    if (not isinstance(corners, list) or len(corners) != 3
+            or any(type(c) is not int or not 0 <= c <= 3 for c in corners)):
+        raise TriangulationError(
+            "malformed corner correspondence at tetrahedron %d face %d"
+            % (i, f))
+    if g in corners:
+        raise TriangulationError(
+            "corner correspondence at tetrahedron %d face %d maps a corner "
+            "to the omitted vertex %d" % (i, f, g))
+    p = _GLUING.get((f, g, *corners))
+    if p is None:
+        raise TriangulationError(
+            "corner correspondence at tetrahedron %d face %d is not a "
+            "bijection" % (i, f))
+    return p
 
 
 class FaceClass:
@@ -142,25 +173,30 @@ class EdgeClass:
 
     The direction runs from the smaller to the larger vertex label in the
     least local representative (unless the class was explicitly flipped).
-    ``tail_vertex``/``head_vertex`` are vertex-class indices.
+    ``tail_vertex``/``head_vertex`` are vertex-class indices; ``slots`` are
+    the flat indices 6i+k of the members, ascending.
     """
 
-    __slots__ = ("index", "rep", "members", "tail_local", "head_local",
+    __slots__ = ("index", "rep", "slots", "tail_local", "head_local",
                  "tail_vertex", "head_vertex")
 
-    def __init__(self, index, rep, members, tail_local, head_local,
-                 tail_vertex, head_vertex):
+    def __init__(self, index, slots, tail_local, head_local, tail_vertex,
+                 head_vertex):
         self.index = index
-        self.rep = rep
-        self.members = members
+        self.rep = _edge_name(slots[0])
+        self.slots = slots
         self.tail_local = tail_local
         self.head_local = head_local
         self.tail_vertex = tail_vertex
         self.head_vertex = head_vertex
 
     @property
+    def members(self):
+        return tuple(map(_edge_name, self.slots))
+
+    @property
     def valence(self):
-        return len(self.members)
+        return len(self.slots)
 
     def __repr__(self):
         t, _, _ = self.rep
@@ -169,16 +205,22 @@ class EdgeClass:
 
 
 class VertexClass:
-    __slots__ = ("index", "rep", "members")
+    """A vertex of the quotient complex; ``slots``: its 4i+v, ascending."""
 
-    def __init__(self, index, rep, members):
+    __slots__ = ("index", "rep", "slots")
+
+    def __init__(self, index, slots):
         self.index = index
-        self.rep = rep
-        self.members = members
+        self.rep = divmod(slots[0], 4)
+        self.slots = slots
+
+    @property
+    def members(self):
+        return tuple(divmod(x, 4) for x in self.slots)
 
     def __repr__(self):
         return "VertexClass(%d, rep=%s, degree=%d)" % (
-            self.index, self.rep, len(self.members))
+            self.index, self.rep, len(self.slots))
 
 
 class Triangulation:
@@ -186,10 +228,10 @@ class Triangulation:
 
     Instances are immutable once constructed and safe to share between
     threads.  Construction computes and checks everything: the face, edge and
-    vertex classes, tetrahedron orientation signs, edge directions, and the
-    vertex links (which must be closed connected orientable surfaces) with
-    the discs meeting each arc (``arc_discs``, see
-    ``links.build_all_links``).
+    vertex classes (``face_classes`` builds its objects on first use),
+    orientation signs, edge directions, and the vertex links (closed
+    connected orientable surfaces) with the discs meeting each arc
+    (``arc_discs``, see ``links.build_all_links``).
 
     ``flipped_edges`` reverses the canonical direction of the given edge
     classes; classification results must not depend on this and the option
@@ -243,8 +285,10 @@ class Triangulation:
                     raise TriangulationError(
                         "unglued face: tetrahedron %d face %d" % (i, f))
 
-        perm = [[None] * 4 for _ in range(t)]
-        partner = [[None] * 4 for _ in range(t)]
+        # One lookup accepts a well-formed entry; _gluing_of gives the
+        # permutation of any other entry or raises its error.
+        partner = []
+        perm = []
         for i in range(t):
             row = gluings[i]
             for f in range(4):
@@ -257,146 +301,157 @@ class Triangulation:
                     raise TriangulationError(
                         "malformed document: tetrahedron %d face %d" % (i, f)
                     ) from exc
-                if not (type(j) is int and 0 <= j < t):
-                    raise TriangulationError(
-                        "tetrahedron %d face %d glued to unknown tetrahedron "
-                        "%r" % (i, f, j))
-                if not (type(g) is int and 0 <= g <= 3):
-                    raise TriangulationError(
-                        "tetrahedron %d face %d glued to unknown face %r"
-                        % (i, f, g))
-                if (j, g) == (i, f):
-                    raise TriangulationError(
-                        "tetrahedron %d face %d glued to itself" % (i, f))
-                if (not isinstance(corners, list) or len(corners) != 3
-                        or any(type(c) is not int or not 0 <= c <= 3
-                               for c in corners)):
-                    raise TriangulationError(
-                        "malformed corner correspondence at tetrahedron %d "
-                        "face %d" % (i, f))
-                if g in corners:
-                    raise TriangulationError(
-                        "corner correspondence at tetrahedron %d face %d maps "
-                        "a corner to the omitted vertex %d" % (i, f, g))
-                sigma = [None] * 4
-                for s, v in enumerate(FACE_CORNERS[f]):
-                    sigma[v] = corners[s]
-                sigma[f] = g
-                if sorted(sigma) != [0, 1, 2, 3]:
-                    raise TriangulationError(
-                        "corner correspondence at tetrahedron %d face %d is "
-                        "not a bijection" % (i, f))
-                perm[i][f] = tuple(sigma)
-                partner[i][f] = (j, g)
+                p = None
+                if (type(j) is int and 0 <= j < t and type(g) is int
+                        and (j != i or g != f) and type(corners) is list
+                        and len(corners) == 3 and type(corners[0]) is int
+                        and type(corners[1]) is int is type(corners[2])):
+                    p = _GLUING.get((f, g, *corners))
+                if p is None:
+                    p = _gluing_of(t, i, f, j, g, corners)
+                partner.append(4 * j + g)
+                perm.append(p)
 
         # involutivity: the partner entry must be the exact inverse
-        for i in range(t):
-            for f in range(4):
-                j, g = partner[i][f]
-                if partner[j][g] != (i, f):
-                    raise TriangulationError(
-                        "non-involutive pairing: tetrahedron %d face %d -> "
-                        "tetrahedron %d face %d -> tetrahedron %d face %d"
-                        % (i, f, j, g, *partner[j][g]))
-                back = perm[j][g]
-                fwd = perm[i][f]
-                if any(back[fwd[v]] != v for v in range(4)):
-                    raise TriangulationError(
-                        "non-involutive corner correspondence between "
-                        "tetrahedron %d face %d and tetrahedron %d face %d"
-                        % (i, f, j, g))
+        for x in range(4 * t):
+            y = partner[x]
+            if partner[y] != x:
+                raise TriangulationError(
+                    "non-involutive pairing: tetrahedron %d face %d -> "
+                    "tetrahedron %d face %d -> tetrahedron %d face %d"
+                    % (x >> 2, x & 3, y >> 2, y & 3,
+                       partner[y] >> 2, partner[y] & 3))
+            if perm[y] != _PERM_INVERSE[perm[x]]:
+                raise TriangulationError(
+                    "non-involutive corner correspondence between "
+                    "tetrahedron %d face %d and tetrahedron %d face %d"
+                    % (x >> 2, x & 3, y >> 2, y & 3))
 
-        self._perm = perm
         self._partner = partner
+        self._perm = perm
 
     def _compute_face_classes(self):
-        classes = []
-        face_class_of = {}
-        for i in range(self.tet_count):
-            for f in range(4):
-                if (i, f) in face_class_of:
-                    continue
-                j, g = self._partner[i][f]
-                index = len(classes)
-                classes.append(FaceClass(index, (i, f), (j, g)))
-                face_class_of[(i, f)] = index
-                face_class_of[(j, g)] = index
-        self.face_classes = tuple(classes)
-        self.face_class_of = face_class_of
+        # slot x represents its class when its partner comes later
+        partner = self._partner
+        face_class = [0] * len(partner)
+        for c, x in enumerate(x for x, y in enumerate(partner) if y > x):
+            face_class[x] = face_class[partner[x]] = c
+        self.face_class_at = tuple(face_class)
+
+    @property
+    def face_classes(self):
+        """The FaceClass of every face, built on first use."""
+        classes = self._cache.get("faces")
+        if classes is None:
+            pairs = ((x, y) for x, y in enumerate(self._partner) if y > x)
+            classes = self._cache["faces"] = tuple(
+                FaceClass(c, divmod(x, 4), divmod(y, 4))
+                for c, (x, y) in enumerate(pairs))
+        return classes
 
     def _compute_vertex_classes(self):
-        t = self.tet_count
-        uf = _SignedUnionFind(4 * t)
-        for i in range(t):
-            for f in range(4):
-                sigma = self._perm[i][f]
-                j, _ = self._partner[i][f]
-                for v in FACE_CORNERS[f]:
-                    uf.union(4 * i + v, 4 * j + sigma[v], 1)
-        members = {}
-        for i in range(t):
-            for v in range(4):
-                root, _ = uf.relation(4 * i + v)
-                members.setdefault(root, []).append((i, v))
-        classes = []
-        vertex_class_of = {}
-        for group in sorted(members.values()):
-            idx = len(classes)
-            classes.append(VertexClass(idx, group[0], tuple(group)))
-            for inc in group:
-                vertex_class_of[inc] = idx
-        self.vertex_classes = tuple(classes)
-        self.vertex_class_of = vertex_class_of
+        # Union over representative faces: the larger class relabels the
+        # smaller one, walking it as a circular list through nxt, and the
+        # two lists are spliced.  Classes are numbered in the order of
+        # their first vertex slot.
+        partner, perm = self._partner, self._perm
+        n = 4 * self.tet_count
+        root, nxt = list(range(n)), list(range(n))
+        size = [1] * n
+        for x, y in enumerate(partner):
+            if y < x:
+                continue
+            i4, j4 = x & ~3, y & ~3
+            sigma = PERMS[perm[x]]
+            for v in FACE_CORNERS[x & 3]:
+                ra, rb = root[i4 + v], root[j4 + sigma[v]]
+                if ra != rb:
+                    if size[ra] < size[rb]:
+                        ra, rb = rb, ra
+                    z = rb
+                    while root[z] != ra:
+                        root[z] = ra
+                        z = nxt[z]
+                    nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
+                    size[ra] += size[rb]
+        label = [-1] * n
+        members = []
+        for x, r in enumerate(root):
+            if label[r] < 0:
+                label[r] = len(members)
+                members.append([])
+            members[label[r]].append(x)
+        self.vertex_classes = tuple(VertexClass(c, tuple(group))
+                                    for c, group in enumerate(members))
+        self.vertex_class_at = tuple([label[r] for r in root])
 
     def _compute_edge_classes(self, flipped):
-        t = self.tet_count
-        uf = _SignedUnionFind(6 * t)
-        for i in range(t):
-            for f in range(4):
-                sigma = self._perm[i][f]
-                j, _ = self._partner[i][f]
-                cs = FACE_CORNERS[f]
-                for a, b in ((cs[0], cs[1]), (cs[0], cs[2]), (cs[1], cs[2])):
-                    x, y = sigma[a], sigma[b]
-                    rel = 1 if x < y else -1
-                    src = 6 * i + _EDGE_SLOT[(a, b)]
-                    dst = 6 * j + _EDGE_SLOT[(min(x, y), max(x, y))]
-                    if not uf.union(src, dst, rel):
-                        raise TriangulationError(
-                            "edge identified with itself reversing direction: "
-                            "tetrahedron %d edge (%d,%d); the quotient is not "
-                            "a manifold away from vertices" % (i, a, b))
-        groups = {}
-        for i in range(t):
-            for k, (a, b) in enumerate(LOCAL_EDGES):
-                root, sign = uf.relation(6 * i + k)
-                groups.setdefault(root, []).append(((i, a, b), sign))
+        # Signed union over representative faces, joined as for vertex
+        # classes, with value(x) = sign[x] * value(root[x]).  The partner
+        # side of a face imposes the same relations, so the first conflict
+        # is found at the same face as with a union over every face slot.
+        partner, perm = self._partner, self._perm
+        n = 6 * self.tet_count
+        root, nxt = list(range(n)), list(range(n))
+        size = [1] * n
+        sign = [1] * n
+        for x, y in enumerate(partner):
+            if y < x:
+                continue
+            i6, j6 = 6 * (x >> 2), 6 * (y >> 2)
+            for k, target, rel in _EDGE_UNIONS[24 * (x & 3) + perm[x]]:
+                a, b = i6 + k, j6 + target
+                ra, rb = root[a], root[b]
+                flip = sign[a] * rel * sign[b]   # value(rb) / value(ra)
+                if ra == rb:
+                    if flip == 1:
+                        continue
+                    a, b = LOCAL_EDGES[k]
+                    raise TriangulationError(
+                        "edge identified with itself reversing direction: "
+                        "tetrahedron %d edge (%d,%d); the quotient is not "
+                        "a manifold away from vertices" % (x >> 2, a, b))
+                if size[ra] < size[rb]:
+                    ra, rb = rb, ra
+                z = rb
+                while root[z] != ra:
+                    root[z] = ra
+                    sign[z] *= flip
+                    z = nxt[z]
+                nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
+                size[ra] += size[rb]
+
+        # A class runs min->max on its first member, or max->min if it is
+        # flipped; first[e] is that direction relative to the root's.
+        vertex_class = self.vertex_class_at
+        label = [-1] * n
+        first = []
+        members = []
+        for x, r in enumerate(root):
+            if label[r] < 0:
+                e = label[r] = len(members)
+                first.append(-sign[x] if e in flipped else sign[x])
+                members.append([])
+            members[label[r]].append(x)
         classes = []
-        edge_class_of = {}
-        edge_dir = {}
-        for group in sorted(groups.values()):
-            group.sort()
-            idx = len(classes)
-            rep, rep_sign = group[0]
-            flip = -1 if idx in flipped else 1
-            for (member, sign) in group:
-                edge_class_of[member] = idx
-                edge_dir[member] = sign * rep_sign * flip
-            ra, rb = rep[1], rep[2]
-            tail, head = (ra, rb) if flip == 1 else (rb, ra)
-            classes.append(EdgeClass(
-                idx, rep, tuple(m for m, _ in group), tail, head,
-                self.vertex_class_of[(rep[0], tail)],
-                self.vertex_class_of[(rep[0], head)]))
+        for e, group in enumerate(members):
+            i, tail, head = _edge_name(group[0])
+            if e in flipped:
+                tail, head = head, tail
+            classes.append(EdgeClass(e, tuple(group), tail, head,
+                                     vertex_class[4 * i + tail],
+                                     vertex_class[4 * i + head]))
         if any(e >= len(classes) or e < 0 for e in flipped):
             raise ValueError("flipped edge class out of range")
         self.edge_classes = tuple(classes)
-        self.edge_class_of = edge_class_of
-        self._edge_dir = edge_dir
+        self.edge_class_at = edge_class = tuple([label[r] for r in root])
+        self.edge_direction_at = tuple([s * first[e] for s, e
+                                        in zip(sign, edge_class)])
         self._flipped = frozenset(flipped)
 
     def _compute_orientations(self):
         t = self.tet_count
+        partner, perm = self._partner, self._perm
         orientation = [0] * t
         for start in range(t):
             if orientation[start]:
@@ -406,8 +461,9 @@ class Triangulation:
             while queue:
                 i = queue.pop()
                 for f in range(4):
-                    j, _ = self._partner[i][f]
-                    need = -orientation[i] * perm_sign(self._perm[i][f])
+                    x = 4 * i + f
+                    j = partner[x] >> 2
+                    need = -orientation[i] * _PERM_SIGN[perm[x]]
                     if orientation[j] == 0:
                         orientation[j] = need
                         queue.append(j)
@@ -427,7 +483,7 @@ class Triangulation:
 
     @property
     def arc_count(self):
-        return 3 * len(self.face_classes)
+        return 6 * self.tet_count   # three per face, two faces per tet
 
     @property
     def disc_count(self):
@@ -438,53 +494,15 @@ class Triangulation:
         return 3 * self.tet_count
 
     def partner(self, tet, face_slot):
-        return self._partner[tet][face_slot]
+        return divmod(self._partner[4 * tet + face_slot], 4)
 
     def corner_map(self, tet, face_slot):
         """The gluing of ``face_slot`` as a permutation of {0,1,2,3} (omitted
         vertex mapped to omitted vertex)."""
-        return self._perm[tet][face_slot]
-
-    def arc_of(self, tet, face_slot, corner):
-        """Global index of the normal arc in the given face linking ``corner``."""
-        fc = self.face_classes[self.face_class_of[(tet, face_slot)]]
-        if (tet, face_slot) == fc.rep:
-            c = corner
-        else:
-            c = self._perm[tet][face_slot][corner]
-        return 3 * fc.index + _CORNER_SLOT[fc.rep[1]][c]
-
-    def arc_info(self, arc):
-        """Return (face_class, corner_slot, rep_corner) for an arc index."""
-        fc = self.face_classes[arc // 3]
-        slot = arc % 3
-        return fc, slot, FACE_CORNERS[fc.rep[1]][slot]
+        return PERMS[self._perm[4 * tet + face_slot]]
 
     def arc_name(self, arc):
         return "face %d corner %d" % (arc // 3, arc % 3)
-
-    def edge_direction(self, tet, a, b):
-        """+1 if the class direction of edge {a,b} runs min->max in this
-        tetrahedron's labels, -1 otherwise."""
-        if a > b:
-            a, b = b, a
-        return self._edge_dir[(tet, a, b)]
-
-    def directed_face_edge(self, tet, face_slot, corner):
-        """The edge of the face opposite ``corner`` as an ordered local pair
-        (tail, head) following the global edge direction."""
-        x, y = _FACE_EDGE[face_slot][corner]
-        if self._edge_dir[(tet, x, y)] == 1:
-            return x, y
-        return y, x
-
-    def end_cell(self, tet, cone, other):
-        """The 0-cell of the link of ``cone``'s vertex class lying on edge
-        {cone, other}, as a pair (edge class, end) with end 0=tail, 1=head."""
-        a, b = (cone, other) if cone < other else (other, cone)
-        e = self.edge_class_of[(tet, a, b)]
-        tail_local = a if self._edge_dir[(tet, a, b)] == 1 else b
-        return e, 0 if cone == tail_local else 1
 
     def cell_name(self, cell):
         e, end = cell
@@ -506,15 +524,12 @@ class Triangulation:
         for i in range(self.tet_count):
             row = []
             for f in range(4):
-                j, g = self._partner[i][f]
-                sigma = self._perm[i][f]
+                j, g = self.partner(i, f)
+                sigma = self.corner_map(i, f)
                 row.append({"tet": j, "face": g,
                             "corners": [sigma[v] for v in FACE_CORNERS[f]]})
             gluings.append(row)
         return {"tets": self.tet_count, "gluings": gluings}
-
-    def to_text(self):
-        return json.dumps(self.serialize(), indent=2, sort_keys=True) + "\n"
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)

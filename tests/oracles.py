@@ -5,22 +5,23 @@ first principles) rather than against the library's internals, so a bug in
 the package cannot hide in its own oracle.  The later ones are reference
 implementations the package no longer needs: integer solving and kernels,
 the per-disc boundary and the matching equations, and the per-vertex link
-builder and Smith-form lift that the package replaced.
+builder and Smith-form lift that the package replaced.  The last section
+holds small helpers that only the tests use.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
-from quadlift.chains import SparseColumns
 from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
                                 solve_with_smith)
 from quadlift.links import VertexLink
 from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL, LiftResult,
-                             boundary_test, check_admissible,
+                             boundary_test, check_admissible, cycle_imbalance,
                              link_quad_boundary, quad_chain)
-from quadlift.triangulation import (TriangulationError, perm_sign, quad_disc,
-                                    triangle_disc)
+from quadlift.triangulation import (LOCAL_EDGES, PERMS, TriangulationError,
+                                    perm_sign, quad_disc)
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
@@ -526,7 +527,7 @@ def arc_sign(tri, tet, face_slot, corner):
     on the two sides of every glued face pair."""
     if corner == face_slot:
         raise ValueError("corner %d does not lie in face %d" % (corner, face_slot))
-    p, q = tri.directed_face_edge(tet, face_slot, corner)
+    p, q = directed_face_edge(tri, tet, face_slot, corner)
     return tri.tet_orientation[tet] * perm_sign((corner, p, q, face_slot))
 
 
@@ -560,7 +561,7 @@ def disc_boundary(tri, disc):
         faces = [(f, quad_cut_corner(j - 3, f)) for f in range(4)]
     coeffs = {}
     for face_slot, corner in faces:
-        arc = tri.arc_of(tet, face_slot, corner)
+        arc = arc_of(tri, tet, face_slot, corner)
         coeffs[arc] = coeffs.get(arc, 0) + arc_sign(tri, tet, face_slot, corner)
     return sorted((arc, c) for arc, c in coeffs.items() if c != 0)
 
@@ -573,6 +574,23 @@ def boundary_of(tri, chain2):
             for arc, sign in disc_boundary(tri, disc):
                 out[arc] += coeff * sign
     return out
+
+
+class SparseColumns:
+    """A sparse integer matrix stored per column as (row, value) lists."""
+
+    def __init__(self, nrows, columns):
+        self.nrows = nrows
+        self.ncols = len(columns)
+        self.columns = columns
+
+    def apply(self, vec):
+        """Matrix-vector product for a dense integer vector."""
+        out = [0] * self.nrows
+        for c, coeff in enumerate(vec):
+            for r, v in self.columns[c]:
+                out[r] += coeff * v
+        return out
 
 
 def matching_equations(tri):
@@ -591,7 +609,7 @@ def matching_equations(tri):
     columns = [dict() for _ in range(tri.disc_count)]
 
     def add(disc, tet, face_slot, corner):
-        arc = tri.arc_of(tet, face_slot, corner)
+        arc = arc_of(tri, tet, face_slot, corner)
         side = 1 if (tet, face_slot) in rep_side else -1
         col = columns[disc]
         col[arc] = col.get(arc, 0) + side
@@ -638,7 +656,7 @@ def link_boundary_restriction_check(tri, link):
         for face_slot in range(4):
             if face_slot == corner:
                 continue
-            arc = tri.arc_of(tet, face_slot, corner)
+            arc = arc_of(tri, tet, face_slot, corner)
             if arc not in appearances:
                 return False
             appearances[arc].append(arc_sign(tri, tet, face_slot, corner))
@@ -662,13 +680,13 @@ def build_link(tri, vertex):
         sigma = tri.corner_map(i, f)
         j, _ = tri.partner(i, f)
         for slot, corner in enumerate(FACE_CORNERS[f]):
-            if tri.vertex_class_of[(i, corner)] != vertex:
+            if tri.vertex_class_at[4 * i + corner] != vertex:
                 continue
             arc = 3 * fc.index + slot
             arcs.append(arc)
-            p, q = tri.directed_face_edge(i, f, corner)
-            arc_cells[arc] = (tri.end_cell(i, corner, p),
-                              tri.end_cell(i, corner, q))
+            p, q = directed_face_edge(tri, i, f, corner)
+            arc_cells[arc] = (end_cell(tri, i, corner, p),
+                              end_cell(tri, i, corner, q))
             arc_triangles[arc] = (triangle_disc(i, corner),
                                   triangle_disc(j, sigma[corner]))
     arcs = tuple(sorted(arcs))
@@ -812,3 +830,100 @@ def check_witness_independence(tri, q, result, rng, trials):
             m = min(w)
             assert [x - m for x in w] == canonical
             assert m - w[-1] == shift
+
+
+# ----------------------------------------------------------------------
+# helpers that only the tests use
+
+def identity(n):
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def zeros(m, n):
+    return IntMatrix([[0] * n for _ in range(m)])
+
+
+def matmul(a, b):
+    """The product of two IntMatrix values."""
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch %dx%d * %dx%d"
+                         % (a.nrows, a.ncols, b.nrows, b.ncols))
+    cols = list(zip(*b.rows)) if b.rows else []
+    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
+                      for row in a.rows])
+
+
+def to_dense(matrix):
+    """The rows of a matrix with ``columns`` of (row, value) lists as dense
+    lists."""
+    rows = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+    for c, col in enumerate(matrix.columns):
+        for r, v in col:
+            rows[r][c] = v
+    return rows
+
+
+def triangle_part(tri, chain2):
+    """The triangle coordinates of a 2-chain (4 per tetrahedron)."""
+    return [chain2[7 * tet + c]
+            for tet in range(tri.tet_count) for c in range(4)]
+
+
+def cycle_test(tri, q, vertex):
+    return not cycle_imbalance(tri, q, vertex)
+
+
+def edge_slot(tet, a, b):
+    """The flat index 6*tet+k of local edge {a, b}, k its LOCAL_EDGES index."""
+    return 6 * tet + LOCAL_EDGES.index((min(a, b), max(a, b)))
+
+
+def edge_class(tri, tet, a, b):
+    return tri.edge_class_at[edge_slot(tet, a, b)]
+
+
+def edge_direction(tri, tet, a, b):
+    """+1 if the class direction of edge {a,b} runs min->max in this
+    tetrahedron's labels, -1 otherwise."""
+    return tri.edge_direction_at[edge_slot(tet, a, b)]
+
+
+def triangle_disc(tet, corner):
+    return 7 * tet + corner
+
+
+def arc_of(tri, tet, face_slot, corner):
+    """Global index of the normal arc in the given face linking ``corner``:
+    3 * (face class) + the position of the corner in the representative
+    face."""
+    x = 4 * tet + face_slot
+    y = tri._partner[x]
+    if y < x:
+        face_slot, corner = y & 3, PERMS[tri._perm[x]][corner]
+    return 3 * tri.face_class_at[x] + FACE_CORNERS[face_slot].index(corner)
+
+
+def directed_face_edge(tri, tet, face_slot, corner):
+    """The edge of the face opposite ``corner`` as an ordered local pair
+    (tail, head) following the global edge direction."""
+    p, q = (v for v in FACE_CORNERS[face_slot] if v != corner)
+    return (p, q) if edge_direction(tri, tet, p, q) == 1 else (q, p)
+
+
+def end_cell(tri, tet, cone, other):
+    """The 0-cell of the link of ``cone``'s vertex class lying on edge
+    {cone, other}, as a pair (edge class, end) with end 0=tail, 1=head."""
+    low_tail = edge_direction(tri, tet, cone, other) == 1
+    return (edge_class(tri, tet, cone, other),
+            0 if low_tail == (cone < other) else 1)
+
+
+def arc_info(tri, arc):
+    """(face_class, corner_slot, rep_corner) for an arc index."""
+    fc = tri.face_classes[arc // 3]
+    slot = arc % 3
+    return fc, slot, FACE_CORNERS[fc.rep[1]][slot]
+
+
+def to_text(tri):
+    return json.dumps(tri.serialize(), indent=2, sort_keys=True) + "\n"

@@ -4,11 +4,12 @@ import pytest
 
 from quadlift.chains import apply_boundary, boundary_matrix
 from quadlift.intlinalg import IntMatrix
-from quadlift.triangulation import (FACE_CORNERS, perm_sign, quad_type_through,
-                                    triangle_disc)
-from oracles import (apply_matching, arc_sign, disc_boundary, face_sides,
-                     fundamental_class, kernel_basis, matching_equations,
-                     quad_cut_corner, quad_type_cutting, simplex_arc_sign)
+from quadlift.triangulation import FACE_CORNERS, perm_sign, quad_type_through
+from oracles import (apply_matching, arc_info, arc_of, arc_sign,
+                     directed_face_edge, disc_boundary, edge_class,
+                     face_sides, fundamental_class, kernel_basis,
+                     matching_equations, quad_cut_corner, quad_type_cutting,
+                     simplex_arc_sign, to_dense, triangle_disc)
 
 
 # ----------------------------------------------------------------------
@@ -36,9 +37,9 @@ def test_arc_sign_pinned_case(double_tet):
     # positively oriented tetrahedron, face 012, corner 0, edge directed
     # 1->2: the identity frame, sign +1; reversing the edge flips it
     assert double_tet.tet_orientation[0] == 1
-    assert double_tet.directed_face_edge(0, 3, 0) == (1, 2)
+    assert directed_face_edge(double_tet, 0, 3, 0) == (1, 2)
     assert arc_sign(double_tet, 0, 3, 0) == 1
-    flipped = double_tet.with_edge_flipped(double_tet.edge_class_of[(0, 1, 2)])
+    flipped = double_tet.with_edge_flipped(edge_class(double_tet, 0, 1, 2))
     assert arc_sign(flipped, 0, 3, 0) == -1
 
 
@@ -122,7 +123,7 @@ def test_glued_pair_triangle_contributions(double_tet):
         (i, f), (j, g) = fc.rep, fc.other
         sigma = tri.corner_map(i, f)
         for slot, v in enumerate(FACE_CORNERS[f]):
-            arc = tri.arc_of(i, f, v)
+            arc = arc_of(tri, i, f, v)
             plus, _ = face_sides(tri, fc.index, slot)
             c_rep = dict(disc_boundary(tri, triangle_disc(i, v)))[arc]
             c_other = dict(disc_boundary(tri, triangle_disc(j, sigma[v])))[arc]
@@ -152,7 +153,7 @@ def test_column_support_sizes(acceptance_fixtures):
 
 def test_row_structure(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
-        dense = boundary_matrix(tri).to_dense()
+        dense = to_dense(boundary_matrix(tri))
         for row in dense:
             triangle_cols = [row[c] for c in range(len(row)) if c % 7 < 4 and row[c]]
             quad_cols = [row[c] for c in range(len(row)) if c % 7 >= 4 and row[c]]
@@ -187,8 +188,8 @@ def test_matching_kernel_equivalence_random_chains(acceptance_fixtures):
 
 def test_kernel_double_inclusion(all_fixtures):
     for tri in all_fixtures.values():
-        b = IntMatrix(boundary_matrix(tri).to_dense())
-        m = IntMatrix(matching_equations(tri).to_dense())
+        b = IntMatrix(to_dense(boundary_matrix(tri)))
+        m = IntMatrix(to_dense(matching_equations(tri)))
         kb = kernel_basis(b)
         km = kernel_basis(m)
         assert len(kb) == len(km)
@@ -198,15 +199,15 @@ def test_kernel_double_inclusion(all_fixtures):
 
 def test_edge_flip_negates_rows_and_preserves_kernel(fig8):
     tri = fig8
-    base = boundary_matrix(tri).to_dense()
+    base = to_dense(boundary_matrix(tri))
     for e in range(len(tri.edge_classes)):
         flipped = tri.with_edge_flipped(e)
-        flipped_dense = boundary_matrix(flipped).to_dense()
+        flipped_dense = to_dense(boundary_matrix(flipped))
         for arc in range(tri.arc_count):
-            fc, _, corner = tri.arc_info(arc)
+            fc, _, corner = arc_info(tri, arc)
             i, f = fc.rep
             x, y = (c for c in FACE_CORNERS[f] if c != corner)
-            on_e = tri.edge_class_of[(i, x, y)] == e
+            on_e = edge_class(tri, i, x, y) == e
             expect = [-v for v in base[arc]] if on_e else base[arc]
             assert flipped_dense[arc] == expect
         for v in kernel_basis(IntMatrix(base)):

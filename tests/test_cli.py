@@ -262,6 +262,29 @@ def test_snf_rejects_non_ascii_digits(tmp_path):
         assert "malformed" in err
 
 
+def test_snf_rejects_other_separators(tmp_path):
+    # str.splitlines and str.split (and reading in universal newline mode,
+    # for a lone \r) split at each of these, which read every body below as
+    # the matrix diag(5, 3)
+    mfile = tmp_path / "m.txt"
+    for sep in ("\r", "\u2028", "\u2029", "\u0085", "\x0b", "\x0c", "\x1c",
+                "\u2003", "\u00a0", "\u3000"):
+        for body in ("2 2 2%s0 0 5\n1 1 3\n" % sep,
+                     "2 2 2\n0 0 5\n1%s1 3\n" % sep,
+                     "2 2 2\n0 0 5\n1 1 3\n %s \n" % sep):
+            mfile.write_text(body, encoding="utf-8")
+            code, out, err = invoke("snf", "--matrix", str(mfile))
+            assert (code, out) == (1, ""), repr(body)
+            assert "malformed" in err
+
+
+def test_snf_accepts_tabs_crlf_and_blank_lines(tmp_path):
+    mfile = tmp_path / "m.txt"
+    mfile.write_bytes(b"2 2 2\r\n\t0\t0 5 \r\n \t\r\n 1 1  3")
+    assert invoke("snf", "--matrix", str(mfile)) == (
+        0, "invariant_factors 1 15\n", "")
+
+
 def test_snf_ignores_all_zero_rows_and_columns(tmp_path):
     # zero rows and columns do not change the invariant factors
     mfile = tmp_path / "m.txt"

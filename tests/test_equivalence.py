@@ -15,9 +15,9 @@ normal q has its (verified) canonical lift inside the enumeration box.
 import itertools
 
 from quadlift import NORMAL, lift, verify_normal
-from quadlift.solver import cycle_test, quad_part, triangle_part
+from quadlift.solver import quad_part
 from conftest import load_doc
-from oracles import enumerate_matching_solutions
+from oracles import cycle_test, enumerate_matching_solutions, triangle_part
 
 
 def admissible_vectors(tet_count, bound):

@@ -1,28 +1,38 @@
-"""Golden CLI outputs: the SHA-256 digest of stdout, stderr and exit code of
-``validate``, ``links``, ``matrix``, ``classify`` and ``verify`` (text and
-``--json``) on the fixtures and on seeded generated triangulations.
+"""Golden outputs, pinned by SHA-256 digests.
 
-The digests in ``data/golden_cli.json`` pin the CLI byte for byte.  After a
-deliberate change of output, regenerate them with
+* CLI: stdout, stderr and exit code of ``validate``, ``links``, ``matrix``,
+  ``classify`` and ``verify`` (text and ``--json``) on the fixtures and on
+  seeded generated triangulations (``data/golden_cli.json``).
+* Parse: the full state of every parsed triangulation, read through its
+  public fields and accessors, on the same inputs and on two edge-flipped
+  copies of each; and the error type and message of every seeded corruption
+  of a valid document (``data/golden_parse.json``).
+
+After a deliberate change of output, regenerate both files with
 
     PYTHONPATH=src:tests:perfbench python -m test_golden
 """
 
+import copy
 import hashlib
 import io
+import itertools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
-from quadlift import parse_triangulation
+from quadlift import Triangulation, parse_triangulation
 from quadlift.cli import run
+from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
 
 import generators as gen
-from oracles import suspended_surface
+from oracles import arc_of, directed_face_edge, end_cell, suspended_surface
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_cli.json"
+GOLDEN_PARSE = DATA / "golden_parse.json"
 
 
 def _cases():
@@ -120,6 +130,230 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     assert [k for k in sorted(expected) if actual[k] != expected[k]] == []
 
 
+# ----------------------------------------------------------------------
+# parse state and rejections
+
+def _digest(value):
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def parse_state(tri):
+    """Every field and accessor result that construction decides, as JSON."""
+    t = tri.tet_count
+    slots = [(i, f) for i in range(t) for f in range(4)]
+    directions = []
+    for i in range(t):
+        for a, b in LOCAL_EDGES:
+            f, corner = [v for v in range(4) if v not in (a, b)]
+            directions.append(directed_face_edge(tri, i, f, corner))
+    return {
+        "faces": [(fc.index, fc.rep, fc.other) for fc in tri.face_classes],
+        "vertices": [(vc.index, vc.rep, vc.members)
+                     for vc in tri.vertex_classes],
+        "edges": [(e.index, e.rep, e.members, e.tail_local, e.head_local,
+                   e.tail_vertex, e.head_vertex, e.valence)
+                  for e in tri.edge_classes],
+        "orientation": tri.tet_orientation,
+        "directions": directions,
+        "gluings": [(tri.partner(i, f), tri.corner_map(i, f))
+                    for i, f in slots],
+        "arc_of": [arc_of(tri, i, f, c) for i, f in slots
+                   for c in FACE_CORNERS[f]],
+        "end_cell": [end_cell(tri, i, a, b) for i in range(t)
+                     for a in range(4) for b in range(4) if a != b],
+        "serialize": tri.serialize(),
+        "arc_discs": tri.arc_discs,
+        "links": [(link.vertex, link.triangles, link.arcs, link.cells,
+                   sorted(link.arc_cells.items()), link.euler_characteristic,
+                   link.genus, link.is_sphere, link.tree)
+                  for link in tri.links],
+    }
+
+
+def golden_states():
+    """{label: digest of the parse state} for every input of ``_cases`` and
+    for two copies of each with one edge class flipped."""
+    digests = {}
+    for name, doc in _cases():
+        tri = parse_triangulation(doc)
+        digests[name] = _digest(parse_state(tri))
+        last = len(tri.edge_classes) - 1
+        for e in (0, last // 2 + 1 if last else 0):
+            digests["%s flip %d" % (name, e)] = _digest(
+                parse_state(tri.with_edge_flipped(e)))
+    return digests
+
+
+_PERMS = list(itertools.permutations(range(4)))
+
+
+def _glue(gluings, i, f, j, g, sigma):
+    """Glue face f of tet i to face g of tet j by ``sigma`` (both sides)."""
+    inverse = [0] * 4
+    for v in range(4):
+        inverse[sigma[v]] = v
+    gluings[i][f] = {"tet": j, "face": g,
+                     "corners": [sigma[v] for v in FACE_CORNERS[f]]}
+    gluings[j][g] = {"tet": i, "face": f,
+                     "corners": [inverse[v] for v in FACE_CORNERS[g]]}
+
+
+def _random_sigma(rng, f, g):
+    return rng.choice([p for p in _PERMS if p[f] == g])
+
+
+def _mutate(rng, doc):
+    """Apply one random corruption to ``doc`` in place; returns the document
+    to parse (a replacement value or JSON text for some corruptions).
+    Raises LookupError, TypeError, AttributeError or ValueError when ``doc``
+    no longer has the shape a corruption needs."""
+    gluings = doc["gluings"]
+    t = len(gluings)
+    i, f = rng.randrange(t), rng.randrange(4)
+    row = gluings[i]
+    entry = row[f]
+    kind = rng.randrange(17)
+    if kind == 0:
+        return rng.choice([[], "tets", 3, None, {"tets": t},
+                           {"gluings": gluings}])
+    if kind == 1:
+        doc["tets"] = rng.choice([0, -1, True, "1", 1.0, t + 1, t - 1])
+    elif kind == 2:
+        doc["gluings"] = rng.choice([None, {}, gluings[:-1],
+                                     gluings + [gluings[0]]])
+    elif kind == 3:
+        gluings[i] = rng.choice([None, {}, row[:3], row + [row[0]]])
+    elif kind == 4:
+        row[f] = rng.choice([None, None, [], "tet", {}])
+    elif kind == 5:
+        del entry[rng.choice(["tet", "face", "corners"])]
+    elif kind == 6:
+        entry["tet"] = rng.choice([-1, t, True, "0", 0.0, None])
+    elif kind == 7:
+        entry["face"] = rng.choice([-1, 4, True, "0", None])
+    elif kind == 8:
+        entry["tet"], entry["face"] = i, f
+    elif kind == 9:
+        entry["corners"] = rng.choice([None, [0, 1], [0, 1, 2, 3],
+                                       [True, 1, 2], [0, 1, 4], [-1, 1, 2],
+                                       [0.0, 1, 2], "012", (0, 1, 2)])
+    elif kind == 10:
+        entry["corners"][rng.randrange(3)] = entry["face"]
+    elif kind == 11:
+        k = rng.randrange(3)
+        entry["corners"][k] = entry["corners"][(k + 1) % 3]
+    elif kind == 12:
+        j, g = rng.randrange(t), rng.randrange(4)
+        corners = [v for v in range(4) if v != g]
+        rng.shuffle(corners)
+        entry.update(tet=j, face=g, corners=corners)
+    elif kind == 13:
+        rng.shuffle(entry["corners"])
+    elif kind == 14:
+        j, g = entry["tet"], entry["face"]
+        _glue(gluings, i, f, j, g, _random_sigma(rng, f, g))
+    elif kind == 15:
+        j, g = entry["tet"], entry["face"]
+        k, h = rng.randrange(t), rng.randrange(4)
+        other = gluings[k][h]
+        m, e = other["tet"], other["face"]
+        if len({(i, f), (j, g), (k, h), (m, e)}) == 4:
+            _glue(gluings, i, f, k, h, _random_sigma(rng, f, h))
+            _glue(gluings, j, g, m, e, _random_sigma(rng, g, e))
+    else:
+        text = json.dumps(doc)
+        return text[:rng.randrange(len(text))]
+    return doc
+
+
+def corrupted_documents(rng, doc, count):
+    """``count`` documents made from ``doc`` by one or two corruptions."""
+    out = []
+    while len(out) < count:
+        bad = copy.deepcopy(doc)
+        for _ in range(rng.choice((1, 1, 2))):
+            try:
+                bad = _mutate(rng, bad)
+            except (LookupError, TypeError, AttributeError, ValueError):
+                pass
+            if not isinstance(bad, dict):
+                break
+        out.append(bad)
+    return out
+
+
+def _outcome(doc):
+    try:
+        tri = Triangulation(doc)
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc).__name__, str(exc)
+    return "valid", _digest(parse_state(tri))
+
+
+# Every message that ``Triangulation`` raises while loading a document, and
+# the orientation message; the corruptions must reach each one.
+REJECTIONS = (
+    r"malformed document: Expecting .*|malformed document: Unterminated .*",
+    r"malformed document: expected an object",
+    r"malformed document: missing 'tets' or 'gluings'",
+    r"malformed document: 'tets' must be a positive integer",
+    r"malformed document: 'gluings' must list \d+ tetrahedra",
+    r"malformed document: tetrahedron \d+ must list 4 faces",
+    r"unglued face: tetrahedron \d+ face \d",
+    r"malformed document: tetrahedron \d+ face \d",
+    r"tetrahedron \d+ face \d glued to unknown tetrahedron .*",
+    r"tetrahedron \d+ face \d glued to unknown face .*",
+    r"tetrahedron \d+ face \d glued to itself",
+    r"malformed corner correspondence at tetrahedron \d+ face \d",
+    r"corner correspondence at tetrahedron \d+ face \d maps a corner to the "
+    r"omitted vertex \d",
+    r"corner correspondence at tetrahedron \d+ face \d is not a bijection",
+    r"non-involutive pairing: .*",
+    r"non-involutive corner correspondence between .*",
+    r"non-orientable complex: orientation conflict at the gluing of "
+    r"tetrahedron \d+ face \d",
+)
+
+CORRUPTION_BASES = ("double_tet", "fig8", "three_tet", "one_tet",
+                    "pentachoron", "stacked-1-1", "stacked-2-4", "cover-1",
+                    "cover-2", "suspended-2")
+CORRUPTIONS_PER_BASE = 120
+
+
+def golden_rejections():
+    """({base: digest of the outcomes}, [every outcome]) over the seeded
+    corruptions of each base document."""
+    docs = dict(_cases())
+    digests, outcomes = {}, []
+    for seed, name in enumerate(CORRUPTION_BASES):
+        rng = random.Random(seed)
+        batch = [_outcome(bad) for bad in corrupted_documents(
+            rng, docs[name], CORRUPTIONS_PER_BASE)]
+        digests[name] = _digest(batch)
+        outcomes.extend(batch)
+    return digests, outcomes
+
+
+def test_parse_states_match_golden_digests():
+    expected = json.loads(GOLDEN_PARSE.read_text())["states"]
+    actual = golden_states()
+    assert sorted(actual) == sorted(expected)
+    assert [k for k in sorted(expected) if actual[k] != expected[k]] == []
+
+
+def test_rejections_match_golden_digests():
+    expected = json.loads(GOLDEN_PARSE.read_text())["rejections"]
+    actual, outcomes = golden_rejections()
+    assert actual == expected
+    rejected = [message for kind, message in outcomes
+                if kind == "TriangulationError"]
+    assert len(rejected) >= 1000
+    assert {kind for kind, _ in outcomes} == {"TriangulationError", "valid"}
+    for pattern in REJECTIONS:
+        assert any(re.fullmatch(pattern, m) for m in rejected), pattern
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -127,3 +361,7 @@ if __name__ == "__main__":
         digests = golden_outputs(Path(root))
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     sys.stdout.write("%d digests written to %s\n" % (len(digests), GOLDEN))
+    parse = {"states": golden_states(), "rejections": golden_rejections()[0]}
+    GOLDEN_PARSE.write_text(json.dumps(parse, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write("%d digests written to %s\n"
+                     % (sum(map(len, parse.values())), GOLDEN_PARSE))

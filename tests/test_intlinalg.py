@@ -3,14 +3,14 @@ import random
 import pytest
 
 from quadlift.intlinalg import IntMatrix, smith_normal_form
-from oracles import (box_solve, determinant, kernel_basis, laplace_determinant,
-                     link_boundary_matrix, minors_gcd, random_matrix,
-                     solve_integer)
+from oracles import (box_solve, determinant, identity, kernel_basis,
+                     laplace_determinant, link_boundary_matrix, matmul,
+                     minors_gcd, random_matrix, solve_integer, zeros)
 
 
 def check_decomposition(a):
     dec = smith_normal_form(a)
-    assert dec.U * a * dec.V == dec.D
+    assert matmul(matmul(dec.U, a), dec.V).rows == dec.D.rows
     assert abs(determinant(dec.U)) == 1
     assert abs(determinant(dec.V)) == 1
     facs = dec.invariant_factors
@@ -26,15 +26,15 @@ def check_decomposition(a):
 
 
 def test_smith_zero_matrix():
-    dec = smith_normal_form(IntMatrix.zeros(3, 4))
+    dec = smith_normal_form(zeros(3, 4))
     assert dec.invariant_factors == ()
-    assert dec.U == IntMatrix.identity(3)
-    assert dec.V == IntMatrix.identity(4)
+    assert dec.U.rows == identity(3).rows
+    assert dec.V.rows == identity(4).rows
 
 
 def test_smith_identity():
     for n in (1, 2, 5):
-        dec = check_decomposition(IntMatrix.identity(n))
+        dec = check_decomposition(identity(n))
         assert dec.invariant_factors == (1,) * n
 
 
@@ -59,7 +59,7 @@ def test_smith_gcd_of_minors_random():
 
 
 def test_solve_identity():
-    res = solve_integer(IntMatrix.identity(4), [3, -1, 0, 7])
+    res = solve_integer(identity(4), [3, -1, 0, 7])
     assert res.ok and res.solution == [3, -1, 0, 7]
 
 
@@ -147,7 +147,7 @@ def test_single_sided_permutation_orders():
 
 
 def test_kernel_basis_zero_and_row():
-    assert kernel_basis(IntMatrix.zeros(2, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis(zeros(2, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     basis = kernel_basis(IntMatrix([[1, 1]]))
     assert len(basis) == 1
     assert basis[0] in ([1, -1], [-1, 1])

@@ -7,7 +7,7 @@ from quadlift.chains import apply_boundary
 from quadlift.intlinalg import IntMatrix, smith_normal_form
 from quadlift.links import build_all_links
 from quadlift.solver import boundary_test
-from oracles import (build_link, disc_boundary, fundamental_class,
+from oracles import (arc_of, build_link, disc_boundary, fundamental_class,
                      kernel_basis, link_boundary_matrix,
                      link_boundary_restriction_check, projection,
                      suspended_surface)
@@ -101,7 +101,7 @@ def assert_tree_invariants(tri):
             tet, corner = divmod(disc, 7)
             for f in range(4):
                 if f != corner:
-                    sides[tri.arc_of(tet, f, corner)].append(disc)
+                    sides[arc_of(tri, tet, f, corner)].append(disc)
         last = len(link.triangles) - 1
         steps, closing = link.tree
         assert len(steps) == last

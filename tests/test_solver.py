@@ -5,11 +5,11 @@ import pytest
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, verify_normal
 from quadlift.chains import apply_boundary
-from quadlift.solver import (boundary_test, check_admissible, cycle_test,
+from quadlift.solver import (boundary_test, check_admissible,
                              link_quad_boundary, load_normal_coords,
                              load_quads, quad_chain, quad_part)
 from conftest import load_doc
-from oracles import (arc_sign, check_witness_independence,
+from oracles import (arc_of, arc_sign, check_witness_independence, cycle_test,
                      enumerate_matching_solutions, link_boundary_matrix,
                      partial_boundary, quad_cut_corner)
 
@@ -66,9 +66,9 @@ def test_partial_boundary_direct_recomputation(acceptance_fixtures):
                             continue
                         for f in range(4):
                             corner = quad_cut_corner(k, f)
-                            if tri.vertex_class_of[(tet, corner)] != v:
+                            if tri.vertex_class_at[4 * tet + corner] != v:
                                 continue
-                            arc = tri.arc_of(tet, f, corner)
+                            arc = arc_of(tri, tet, f, corner)
                             expect[arc] += coeff * arc_sign(tri, tet, f, corner)
                 arcs = set(link.arcs)
                 assert not any(expect[arc] for arc in range(tri.arc_count)

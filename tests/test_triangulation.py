@@ -1,10 +1,16 @@
 import copy
+import itertools
+import random
 
 import pytest
 
 from quadlift import TriangulationError, parse_triangulation
+from quadlift.triangulation import FACE_CORNERS
 from conftest import load_doc
-from oracles import brute_force_class_counts
+from oracles import (brute_force_class_counts, edge_class, edge_direction,
+                     suspended_surface, to_text)
+
+import generators as gen
 
 
 def test_double_tet_class_counts(double_tet):
@@ -117,13 +123,13 @@ def test_edge_orientation_convention(all_fixtures):
             t, a, b = e.rep
             assert e.rep == min(e.members)
             assert (e.tail_local, e.head_local) == (a, b)
-            assert tri.edge_direction(t, a, b) == 1
+            assert edge_direction(tri, t, a, b) == 1
 
 
 def test_orientation_stages_are_idempotent(double_tet):
     again = parse_triangulation(double_tet.serialize())
     assert again.tet_orientation == double_tet.tet_orientation
-    assert again._edge_dir == double_tet._edge_dir
+    assert again.edge_direction_at == double_tet.edge_direction_at
 
 
 def test_involution_invariant(all_fixtures):
@@ -136,10 +142,10 @@ def test_involution_invariant(all_fixtures):
 
 def test_round_trip_stability(all_fixtures):
     for tri in all_fixtures.values():
-        text = tri.to_text()
+        text = to_text(tri)
         again = parse_triangulation(text)
         assert again == tri
-        assert again.to_text() == text
+        assert to_text(again) == text
 
 
 def test_serialization_matches_source():
@@ -160,7 +166,8 @@ def test_with_edge_flipped_reverses_one_class(fig8):
     assert (f0.tail_local, f0.head_local) == (e0.head_local, e0.tail_local)
     for member in e0.members:
         t, a, b = member
-        assert flipped.edge_direction(t, a, b) == -fig8.edge_direction(t, a, b)
+        assert (edge_direction(flipped, t, a, b)
+                == -edge_direction(fig8, t, a, b))
     e1, f1 = fig8.edge_classes[1], flipped.edge_classes[1]
     assert (f1.tail_local, f1.head_local) == (e1.tail_local, e1.head_local)
     # flipping twice restores the canonical direction
@@ -217,3 +224,48 @@ def test_boolean_fields_rejected():
     doc["gluings"][0][0]["corners"][0] = True
     with pytest.raises(TriangulationError, match="malformed corner"):
         parse_triangulation(doc)
+
+
+def assert_gluings_respect_classes(tri):
+    """Every face slot, representative or partner, carries each corner to
+    one of the same vertex class, and each of its three edges to one of the
+    same edge class with the same direction.  Edge classes are built from
+    the representative sides alone, so this checks the partner sides."""
+    for i in range(tri.tet_count):
+        for f in range(4):
+            j, _ = tri.partner(i, f)
+            sigma = tri.corner_map(i, f)
+            for v in FACE_CORNERS[f]:
+                assert (tri.vertex_class_at[4 * i + v]
+                        == tri.vertex_class_at[4 * j + sigma[v]])
+            for a, b in itertools.combinations(FACE_CORNERS[f], 2):
+                x, y = sigma[a], sigma[b]
+                assert edge_class(tri, i, a, b) == edge_class(tri, j, x, y)
+                # the class direction a->b in tet i is x->y in tet j
+                assert (edge_direction(tri, i, a, b)
+                        == edge_direction(tri, j, x, y) * (1 if x < y else -1))
+
+
+def test_gluings_respect_classes_on_fixtures(all_fixtures):
+    for tri in all_fixtures.values():
+        assert_gluings_respect_classes(tri)
+        assert_gluings_respect_classes(tri.with_edge_flipped(0))
+
+
+@pytest.mark.parametrize("moves", [0, 1, 4, 13, 40])
+def test_gluings_respect_classes_on_stacked(moves):
+    assert_gluings_respect_classes(
+        parse_triangulation(gen.stacked(random.Random(moves), moves)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_gluings_respect_classes_on_covers(n):
+    assert_gluings_respect_classes(parse_triangulation(gen.fig8_cover(n)))
+    assert_gluings_respect_classes(
+        parse_triangulation(gen.one_four_move(gen.fig8_cover(n), 0)))
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 5])
+def test_gluings_respect_classes_on_suspended_surfaces(genus):
+    assert_gluings_respect_classes(
+        parse_triangulation(suspended_surface(genus)))
