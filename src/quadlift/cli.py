@@ -1,9 +1,11 @@
 """Command-line driver: validate, links, matrix, classify, verify, snf.
 
 Exit codes: 0 success / Normal, 2 SpunNormal, 3 NotNormal, 1 input error
-(bad coordinate data), 64 usage error (unknown subcommand or bad
-arguments), 65 invalid triangulation, 66 unreadable file.  Output is
-deterministic: identical input gives byte-identical output.
+(bad coordinate or matrix data), 64 usage error (unknown subcommand or bad
+arguments), 65 invalid triangulation, 66 unreadable or non-UTF-8 file.
+JSON nested too deeply or with a number too long to convert is malformed.
+Every input error ends with one ``error:`` line on stderr, and identical
+input gives byte-identical output.
 """
 
 import argparse
@@ -42,9 +44,9 @@ def _read_text(path, newline=None):
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as handle:
             return handle.read()
-    except OSError as exc:
-        raise _InputError("cannot read %s: %s" % (path, exc.strerror or exc),
-                          EX_NOINPUT) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError("cannot read %s: %s" % (
+            path, getattr(exc, "strerror", None) or exc), EX_NOINPUT) from exc
 
 
 def _load_triangulation(path):
@@ -60,7 +62,7 @@ def _load_json(path, what):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _InputError("malformed %s document %s: %s" % (what, path, exc),
                           EX_INPUT) from exc
 
@@ -108,6 +110,12 @@ def _emit_json(payload, out):
     out.write("\n")
 
 
+def _link_summaries(tri):
+    return [{"vertex": link.vertex, "triangles": len(link.triangles),
+             "chi": link.euler_characteristic, "genus": link.genus,
+             "sphere": link.is_sphere} for link in tri.links]
+
+
 def _cmd_validate(args, out):
     tri = _load_triangulation(args.tri)
     if args.as_json:
@@ -118,11 +126,7 @@ def _cmd_validate(args, out):
             "edge_classes": len(tri.edge_classes),
             "face_classes": len(tri.face_classes),
             "orientations": list(tri.tet_orientation),
-            "links": [{"vertex": link.vertex,
-                       "triangles": len(link.triangles),
-                       "chi": link.euler_characteristic,
-                       "genus": link.genus,
-                       "sphere": link.is_sphere} for link in tri.links],
+            "links": _link_summaries(tri),
         }, out)
         return EX_OK
     out.write("valid\n")
@@ -141,11 +145,7 @@ def _cmd_validate(args, out):
 def _cmd_links(args, out):
     tri = _load_triangulation(args.tri)
     if args.as_json:
-        _emit_json([{"vertex": link.vertex,
-                     "triangles": len(link.triangles),
-                     "chi": link.euler_characteristic,
-                     "genus": link.genus,
-                     "sphere": link.is_sphere} for link in tri.links], out)
+        _emit_json(_link_summaries(tri), out)
         return EX_OK
     for link in tri.links:
         out.write("vertex %d triangles %d chi %d genus %d sphere %s\n"

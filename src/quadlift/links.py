@@ -4,14 +4,14 @@ The link of a vertex class v is the closed surface swept out by the normal
 triangles cutting off v, one per incidence of v in a tetrahedron.  Its 1-cells
 are the normal arcs linking v and its 0-cells sit on the ends of the edge
 classes incident to v.  On a valid triangulation every link is connected and
-orientable, and its homeomorphism type is determined by the Euler
-characteristic.  Each link also carries a spanning tree of its dual graph
-(triangles joined across arcs), grown at parse by the same walk that checks
-that the link is connected; ``solver.boundary_test`` walks it.
+orientable (see :func:`build_all_links`), and its homeomorphism type is
+determined by the Euler characteristic.  Each link also carries a spanning
+tree of its dual graph (triangles joined across arcs), grown at parse;
+``solver.boundary_test`` walks it.
 """
 
-from .triangulation import (ARC_EDGES, FACE_CORNERS, PERMS,
-                            TriangulationError, perm_sign, quad_type_through)
+from .triangulation import (ARC_EDGES, FACE_CORNERS, PERMS, perm_sign,
+                            quad_type_through)
 
 
 def _arc_rows(f, sigma):
@@ -51,16 +51,16 @@ class VertexLink:
     __slots__ = ("vertex", "triangles", "arcs", "cells", "arc_cells",
                  "euler_characteristic", "genus", "is_sphere", "tree")
 
-    def __init__(self, vertex, triangles, arcs, cells, arc_cells,
-                 euler_characteristic, arc_discs):
+    def __init__(self, vertex, triangles, arcs, cells, arc_cells, arc_discs):
         self.vertex = vertex
         self.triangles = triangles
         self.arcs = arcs
         self.cells = cells
         self.arc_cells = arc_cells
-        self.euler_characteristic = euler_characteristic
-        self.genus = (2 - euler_characteristic) // 2
-        self.is_sphere = euler_characteristic == 2
+        chi = len(cells) - len(arcs) + len(triangles)
+        self.euler_characteristic = chi
+        self.genus = (2 - chi) // 2
+        self.is_sphere = chi == 2
         self.tree = dual_tree(self, len(triangles) - 1, arc_discs)
 
     def __repr__(self):
@@ -70,8 +70,18 @@ class VertexLink:
 
 def build_all_links(tri):
     """Build the link of every vertex class in one pass over the face, edge
-    and vertex classes; raises if a link is not a closed connected
-    orientable surface.
+    and vertex classes.
+
+    Every link is a closed connected orientable surface, so none is
+    checked.  Connected: the arc of face f of tetrahedron i linking corner v
+    joins the triangles (i, v) and (j, sigma[v]) of the face's gluing sigma,
+    the relation whose classes are the vertex classes, so the components of
+    the dual graph are the links.  Closed: each arc has a triangle on either
+    side, and the triangles round a 0-cell (edge class, end) form one disc,
+    as the edge class is one cycle that never meets itself reversed (see
+    ``Triangulation._compute_edge_classes``).  Orientable, so of even Euler
+    characteristic: the two triangles on an arc give it opposite signs
+    (``s`` and ``-s`` below), as every gluing reverses the face orientation.
 
     The same pass decides which discs meet each arc, and with what sign, for
     the whole triangulation.  It stores ``tri.arc_discs[arc] = (s, tri_a,
@@ -123,25 +133,10 @@ def build_all_links(tri):
     # slots (disc 7i+v of slot 4i+v) and edge classes come in index order,
     # so triangles and cells are sorted
     return tuple(
-        _checked_link(vc.index, tuple(x + 3 * (x >> 2) for x in vc.slots),
-                      tuple(arcs[vc.index]), tuple(cells[vc.index]),
-                      arc_cells[vc.index], arc_discs)
+        VertexLink(vc.index, tuple(x + 3 * (x >> 2) for x in vc.slots),
+                   tuple(arcs[vc.index]), tuple(cells[vc.index]),
+                   arc_cells[vc.index], arc_discs)
         for vc in tri.vertex_classes)
-
-
-def _checked_link(vertex, triangles, arcs, cells, arc_cells, arc_discs):
-    """The VertexLink of these cells, once its Euler characteristic is even
-    and its spanning tree reaches every triangle."""
-    chi = len(cells) - len(arcs) + len(triangles)
-    if chi % 2 != 0:
-        raise TriangulationError(
-            "link of vertex %d has odd Euler characteristic %d; not an "
-            "orientable surface" % (vertex, chi))
-    link = VertexLink(vertex, triangles, arcs, cells, arc_cells, chi,
-                      arc_discs)
-    if len(link.tree[0]) != len(triangles) - 1:
-        raise TriangulationError("link of vertex %d is disconnected" % vertex)
-    return link
 
 
 def dual_tree(link, root, arc_discs):
@@ -154,8 +149,8 @@ def dual_tree(link, root, arc_discs):
     the arc's coefficient in the boundary of d (d and nb are positions in
     ``link.triangles``).  A closing entry (k, d, nb, s) is an arc outside
     the tree in the same form; an arc whose two sides lie on one triangle is
-    closing with d = nb and s = 0.  The steps reach every triangle exactly
-    when the link is connected.
+    closing with d = nb and s = 0.  The steps reach every triangle, since
+    the link is connected.
     """
     index = {d: k for k, d in enumerate(link.triangles)}
     neighbours = [[] for _ in link.triangles]

@@ -240,37 +240,34 @@ def verify_normal(tri, coords):
 # ----------------------------------------------------------------------
 # coordinate documents
 
-def load_quads(doc, tet_count):
-    """Read {"quads": [[q1,q2,q3] x t]} into a flat quad vector.  JSON true
-    and false load as bool, so entries must have type ``int`` exactly."""
-    if not isinstance(doc, dict) or "quads" not in doc:
-        raise ValueError("malformed quads document: missing 'quads'")
-    rows = doc["quads"]
+def _load_rows(doc, tet_count, key, width, kind, row_kind):
+    """Read {key: [[...] x t]}, rows of ``width`` integers, into a flat
+    vector.  JSON true and false load as bool, so entries must have type
+    ``int`` exactly."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError("malformed %s document: missing '%s'" % (kind, key))
+    rows = doc[key]
     if not isinstance(rows, list) or len(rows) != tet_count:
-        raise ValueError("quads document must list %d tetrahedra" % tet_count)
+        raise ValueError("%s document must list %d tetrahedra"
+                         % (kind, tet_count))
     flat = []
     for tet, row in enumerate(rows):
-        if (not isinstance(row, list) or len(row) != 3
+        if (not isinstance(row, list) or len(row) != width
                 or any(type(x) is not int for x in row)):
-            raise ValueError("malformed quad row for tetrahedron %d" % tet)
+            raise ValueError("malformed %s row for tetrahedron %d"
+                             % (row_kind, tet))
         flat.extend(row)
     return flat
+
+
+def load_quads(doc, tet_count):
+    """Read {"quads": [[q1,q2,q3] x t]} into a flat quad vector."""
+    return _load_rows(doc, tet_count, "quads", 3, "quads", "quad")
 
 
 def load_normal_coords(doc, tet_count):
     """Read {"coords": [[t0,t1,t2,t3,q1,q2,q3] x t]} into a flat disc vector."""
-    if not isinstance(doc, dict) or "coords" not in doc:
-        raise ValueError("malformed coordinates document: missing 'coords'")
-    rows = doc["coords"]
-    if not isinstance(rows, list) or len(rows) != tet_count:
-        raise ValueError("coordinates document must list %d tetrahedra" % tet_count)
-    flat = []
-    for tet, row in enumerate(rows):
-        if (not isinstance(row, list) or len(row) != 7
-                or any(type(x) is not int for x in row)):
-            raise ValueError("malformed coordinate row for tetrahedron %d" % tet)
-        flat.extend(row)
-    return flat
+    return _load_rows(doc, tet_count, "coords", 7, "coordinates", "coordinate")
 
 
 def normal_coords_doc(coords):

@@ -21,9 +21,10 @@ Conventions used throughout the package:
   the induced face orientation; edge classes carry a direction, fixed by the
   lexicographically least local representative.
 
-The quotient complex must be a manifold away from its vertices: the link of
-every vertex class is a closed connected orientable surface (a sphere exactly
-at manifold points).  Links are built and checked on construction.
+An orientable closed complex is a manifold away from its vertices, and the
+link of every vertex class is a closed connected orientable surface (a sphere
+exactly at manifold points): see ``Triangulation._compute_edge_classes`` and
+``links.build_all_links`` for the proofs.
 """
 
 import json
@@ -172,7 +173,7 @@ class EdgeClass:
     """An edge of the quotient complex with its chosen direction.
 
     The direction runs from the smaller to the larger vertex label in the
-    least local representative (unless the class was explicitly flipped).
+    least local representative.
     ``tail_vertex``/``head_vertex`` are vertex-class indices; ``slots`` are
     the flat indices 6i+k of the members, ascending.
     """
@@ -227,30 +228,28 @@ class Triangulation:
     """A validated closed orientable triangulated 3-pseudo-manifold.
 
     Instances are immutable once constructed and safe to share between
-    threads.  Construction computes and checks everything: the face, edge and
-    vertex classes (``face_classes`` builds its objects on first use),
-    orientation signs, edge directions, and the vertex links (closed
-    connected orientable surfaces) with the discs meeting each arc
-    (``arc_discs``, see ``links.build_all_links``).
-
-    ``flipped_edges`` reverses the canonical direction of the given edge
-    classes; classification results must not depend on this and the option
-    exists so that independence can be tested.
+    threads.  Construction checks the gluings and the orientability, and
+    computes everything else: the face, edge and vertex classes
+    (``face_classes`` builds its objects on first use), orientation signs,
+    edge directions, and the vertex links (closed connected orientable
+    surfaces) with the discs meeting each arc (``arc_discs``, see
+    ``links.build_all_links``).
     """
 
-    def __init__(self, doc, flipped_edges=frozenset()):
+    def __init__(self, doc):
         if isinstance(doc, str):
             try:
                 doc = json.loads(doc)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TriangulationError("malformed document: %s" % exc) from exc
         self._load(doc)
         self._compute_face_classes()
         self._compute_vertex_classes()
         self._compute_orientations()
-        self._compute_edge_classes(frozenset(flipped_edges))
+        self._compute_edge_classes()
         self._cache = {}
-        self._validate_links()
+        from . import links   # which imports this module
+        self.links = links.build_all_links(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -385,11 +384,18 @@ class Triangulation:
                                     for c, group in enumerate(members))
         self.vertex_class_at = tuple([label[r] for r in root])
 
-    def _compute_edge_classes(self, flipped):
-        # Signed union over representative faces, joined as for vertex
-        # classes, with value(x) = sign[x] * value(root[x]).  The partner
-        # side of a face imposes the same relations, so the first conflict
-        # is found at the same face as with a union over every face slot.
+    def _compute_edge_classes(self):
+        """Signed union over representative faces, joined as for vertex
+        classes, with value(x) = sign[x] * value(root[x]); the partner side
+        of a face imposes the same relations.
+
+        No class meets itself reversed, so no union closes a conflict.  Its
+        members form one cycle round the edge, and a walk round the cycle
+        turns one way; with the orientations, which every gluing respects
+        once the orientation check has passed, that turn fixes a direction
+        of the edge that each step carries to the next member.  (A reversed
+        edge would make the link of its midpoint RP^2.)
+        """
         partner, perm = self._partner, self._perm
         n = 6 * self.tet_count
         root, nxt = list(range(n)), list(range(n))
@@ -402,15 +408,9 @@ class Triangulation:
             for k, target, rel in _EDGE_UNIONS[24 * (x & 3) + perm[x]]:
                 a, b = i6 + k, j6 + target
                 ra, rb = root[a], root[b]
-                flip = sign[a] * rel * sign[b]   # value(rb) / value(ra)
                 if ra == rb:
-                    if flip == 1:
-                        continue
-                    a, b = LOCAL_EDGES[k]
-                    raise TriangulationError(
-                        "edge identified with itself reversing direction: "
-                        "tetrahedron %d edge (%d,%d); the quotient is not "
-                        "a manifold away from vertices" % (x >> 2, a, b))
+                    continue
+                flip = sign[a] * rel * sign[b]   # value(rb) / value(ra)
                 if size[ra] < size[rb]:
                     ra, rb = rb, ra
                 z = rb
@@ -421,33 +421,28 @@ class Triangulation:
                 nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
                 size[ra] += size[rb]
 
-        # A class runs min->max on its first member, or max->min if it is
-        # flipped; first[e] is that direction relative to the root's.
+        # A class runs min->max on its first member; first[e] is that
+        # direction relative to the root's.
         vertex_class = self.vertex_class_at
         label = [-1] * n
         first = []
         members = []
         for x, r in enumerate(root):
             if label[r] < 0:
-                e = label[r] = len(members)
-                first.append(-sign[x] if e in flipped else sign[x])
+                label[r] = len(members)
+                first.append(sign[x])
                 members.append([])
             members[label[r]].append(x)
         classes = []
         for e, group in enumerate(members):
             i, tail, head = _edge_name(group[0])
-            if e in flipped:
-                tail, head = head, tail
             classes.append(EdgeClass(e, tuple(group), tail, head,
                                      vertex_class[4 * i + tail],
                                      vertex_class[4 * i + head]))
-        if any(e >= len(classes) or e < 0 for e in flipped):
-            raise ValueError("flipped edge class out of range")
         self.edge_classes = tuple(classes)
         self.edge_class_at = edge_class = tuple([label[r] for r in root])
         self.edge_direction_at = tuple([s * first[e] for s, e
                                         in zip(sign, edge_class)])
-        self._flipped = frozenset(flipped)
 
     def _compute_orientations(self):
         t = self.tet_count
@@ -472,11 +467,6 @@ class Triangulation:
                             "non-orientable complex: orientation conflict at "
                             "the gluing of tetrahedron %d face %d" % (i, f))
         self.tet_orientation = tuple(orientation)
-
-    def _validate_links(self):
-        from . import links as _links
-
-        self.links = _links.build_all_links(self)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -507,34 +497,6 @@ class Triangulation:
     def cell_name(self, cell):
         e, end = cell
         return "edge %d %s" % (e, "tail" if end == 0 else "head")
-
-    def with_edge_flipped(self, edge_class):
-        """A copy of this triangulation with one edge direction reversed."""
-        if not 0 <= edge_class < len(self.edge_classes):
-            raise ValueError("edge class %r out of range" % (edge_class,))
-        return Triangulation(self.serialize(),
-                             flipped_edges=self._flipped ^ {edge_class})
-
-    # ------------------------------------------------------------------
-    # serialization
-
-    def serialize(self):
-        """The canonical JSON document for this triangulation."""
-        gluings = []
-        for i in range(self.tet_count):
-            row = []
-            for f in range(4):
-                j, g = self.partner(i, f)
-                sigma = self.corner_map(i, f)
-                row.append({"tet": j, "face": g,
-                            "corners": [sigma[v] for v in FACE_CORNERS[f]]})
-            gluings.append(row)
-        return {"tets": self.tet_count, "gluings": gluings}
-
-    def __eq__(self, other):
-        return (isinstance(other, Triangulation)
-                and self.serialize() == other.serialize()
-                and self._flipped == other._flipped)
 
     def __repr__(self):
         return "Triangulation(%d tets, %d vertices, %d edges, %d faces)" % (

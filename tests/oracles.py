@@ -9,6 +9,7 @@ builder and Smith-form lift that the package replaced.  The last section
 holds small helpers that only the tests use.
 """
 
+import copy
 import itertools
 import json
 from fractions import Fraction
@@ -16,12 +17,12 @@ from math import gcd
 
 from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
                                 solve_with_smith)
-from quadlift.links import VertexLink
+from quadlift.links import VertexLink, build_all_links
 from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL, LiftResult,
                              boundary_test, check_admissible, cycle_imbalance,
                              link_quad_boundary, quad_chain)
-from quadlift.triangulation import (LOCAL_EDGES, PERMS, TriangulationError,
-                                    perm_sign, quad_disc)
+from quadlift.triangulation import (LOCAL_EDGES, PERMS, EdgeClass,
+                                    TriangulationError, perm_sign, quad_disc)
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
@@ -117,19 +118,7 @@ def brute_force_class_counts(doc):
         return entry["tet"], entry["face"], m
 
     def close(items, images):
-        parent = {x: x for x in items}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, y in images:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-        return len({find(x) for x in items})
+        return len(set(_orbits(items, images).values()))
 
     verts = [(i, v) for i in range(t) for v in range(4)]
     vid = []
@@ -147,6 +136,56 @@ def brute_force_class_counts(doc):
             for a, b in itertools.combinations(FACE_CORNERS[f], 2):
                 eid.append(((i, frozenset((a, b))), (j, frozenset((m[a], m[b])))))
     return close(verts, vid), close(edges, eid), close(faces, fid)
+
+
+def _orbits(items, pairs):
+    """{item: representative} for the equivalence closure of ``pairs``."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[find(y)] = find(x)
+    return {x: find(x) for x in items}
+
+
+def link_invariants(doc):
+    """(edges identified with themselves reversed, {vertex class: Euler
+    characteristic of its link}) by orbit closure on the raw document.
+
+    A vertex class is the frozenset of its (tet, vertex) incidences.  The
+    0-cells of a link are the orbits of directed edges (tet, a, b) whose
+    tail (tet, a) lies in the class, its arcs the face corners in the class
+    (two per arc) and its triangles the incidences."""
+    t = doc["tets"]
+    vertex_pairs, edge_pairs = [], []
+    for i in range(t):
+        for f in range(4):
+            entry = doc["gluings"][i][f]
+            j, m = entry["tet"], dict(zip(FACE_CORNERS[f], entry["corners"]))
+            for v in FACE_CORNERS[f]:
+                vertex_pairs.append(((i, v), (j, m[v])))
+            for a, b in itertools.permutations(FACE_CORNERS[f], 2):
+                edge_pairs.append(((i, a, b), (j, m[a], m[b])))
+    vertex = _orbits([(i, v) for i in range(t) for v in range(4)],
+                     vertex_pairs)
+    edge = _orbits([(i, a, b) for i in range(t)
+                    for a, b in itertools.permutations(range(4), 2)],
+                   edge_pairs)
+    reversed_edges = sorted((i, a, b) for i, a, b in edge
+                            if a < b and edge[i, a, b] == edge[i, b, a])
+    chis = {}
+    for root in set(vertex.values()):
+        members = frozenset(x for x, r in vertex.items() if r == root)
+        corners = sum(vertex[i, v] == root for i in range(t)
+                      for f in range(4) for v in FACE_CORNERS[f])
+        cells = {edge[i, a, b] for i, a, b in edge if vertex[i, a] == root}
+        chis[members] = len(cells) - corners // 2 + len(members)
+    return reversed_edges, chis
 
 
 # ----------------------------------------------------------------------
@@ -720,7 +759,7 @@ def build_link(tri, vertex):
             raise TriangulationError(
                 "link of vertex %d is disconnected" % vertex)
 
-    return VertexLink(vertex, triangles, arcs, cells, arc_cells, chi,
+    return VertexLink(vertex, triangles, arcs, cells, arc_cells,
                       tri.arc_discs)
 
 
@@ -925,5 +964,38 @@ def arc_info(tri, arc):
     return fc, slot, FACE_CORNERS[fc.rep[1]][slot]
 
 
+def serialize(tri):
+    """The canonical JSON document for this triangulation."""
+    gluings = []
+    for i in range(tri.tet_count):
+        row = []
+        for f in range(4):
+            j, g = tri.partner(i, f)
+            sigma = tri.corner_map(i, f)
+            row.append({"tet": j, "face": g,
+                        "corners": [sigma[v] for v in FACE_CORNERS[f]]})
+        gluings.append(row)
+    return {"tets": tri.tet_count, "gluings": gluings}
+
+
 def to_text(tri):
-    return json.dumps(tri.serialize(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(serialize(tri), indent=2, sort_keys=True) + "\n"
+
+
+def flip_edge(tri, e):
+    """A copy of ``tri`` with the direction of edge class ``e`` reversed,
+    its links and arc table rebuilt.  No answer of the package may depend
+    on edge directions, so every answer must be the same on the copy."""
+    flipped = copy.copy(tri)
+    flipped._cache = {}   # the boundary matrix is cached there
+    old = tri.edge_classes[e]
+    classes = list(tri.edge_classes)
+    classes[e] = EdgeClass(e, old.slots, old.head_local, old.tail_local,
+                           old.head_vertex, old.tail_vertex)
+    flipped.edge_classes = tuple(classes)
+    direction = list(tri.edge_direction_at)
+    for x in old.slots:
+        direction[x] = -direction[x]
+    flipped.edge_direction_at = tuple(direction)
+    flipped.links = build_all_links(flipped)
+    return flipped

@@ -332,3 +332,61 @@ def test_boolean_tet_count_exit_65(tmp_path):
     code, _, err = invoke("validate", "--tri", str(bad))
     assert code == 65
     assert "'tets' must be a positive integer" in err
+
+
+# Hostile documents: each must end with its documented exit code and one
+# "error:" line on stderr, never with an exception out of ``run``.
+DEEP = b"[" * 200000 + b"]" * 200000
+LONG_NUMBER = "7" * 5000   # past the interpreter's int-to-str digit limit
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_documents_are_rejected(tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_bytes(DEEP)
+    code, out, err = invoke("validate", "--tri", str(bad))
+    assert (code, out) == (65, "")
+    assert_one_error_line(err)
+    for flag, cmd in (("--quads", "classify"), ("--coords", "verify")):
+        code, out, err = invoke(cmd, "--tri", path("double_tet.json"),
+                                flag, str(bad))
+        assert (code, out) == (1, "")
+        assert_one_error_line(err)
+
+
+def test_numbers_past_the_digit_limit_are_rejected(tmp_path):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"tets": %s, "gluings": []}' % LONG_NUMBER)
+    code, out, err = invoke("validate", "--tri", str(bad))
+    assert (code, out) == (65, "")
+    assert_one_error_line(err)
+    quads = tmp_path / "q.json"
+    quads.write_text('{"quads": [[%s, 0, 0], [0, 0, 0]]}' % LONG_NUMBER)
+    code, out, err = invoke("classify", "--tri", path("double_tet.json"),
+                            "--quads", str(quads))
+    assert (code, out) == (1, "")
+    assert_one_error_line(err)
+    coords = tmp_path / "c.json"
+    coords.write_text('{"coords": [[%s, 0, 0, 0, 0, 0, 0]]}' % LONG_NUMBER)
+    code, out, err = invoke("verify", "--tri", path("double_tet.json"),
+                            "--coords", str(coords))
+    assert (code, out) == (1, "")
+    assert_one_error_line(err)
+
+
+def test_undecodable_files_exit_66(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"tets": 1, "gluings": [\xff]}')
+    tri = path("double_tet.json")
+    for argv in (("validate", "--tri", str(bad)),
+                 ("classify", "--tri", tri, "--quads", str(bad)),
+                 ("verify", "--tri", tri, "--coords", str(bad)),
+                 ("snf", "--matrix", str(bad))):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (66, ""), argv
+        assert_one_error_line(err)
+        assert "cannot read" in err

@@ -17,8 +17,9 @@ from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import boundary_matrix
 from quadlift.solver import boundary_test, link_quad_boundary, quad_chain
 from conftest import load_doc, load_tri
-from oracles import (boundary_of, disc_boundary, link_boundary_matrix,
-                     smith_lift, solve_integer, suspended_surface)
+from oracles import (boundary_of, disc_boundary, flip_edge,
+                     link_boundary_matrix, smith_lift, solve_integer,
+                     suspended_surface)
 import generators as gen
 
 ARC_TABLE_DOCS = (
@@ -48,7 +49,7 @@ def test_arc_table_matches_per_disc_oracle(doc):
     tri = parse_triangulation(doc)
     assert_arc_table_matches_per_disc_oracle(tri)
     for edge in {0, len(tri.edge_classes) // 2}:
-        assert_arc_table_matches_per_disc_oracle(tri.with_edge_flipped(edge))
+        assert_arc_table_matches_per_disc_oracle(flip_edge(tri, edge))
 
 
 def generated_queries(tri, rng, cover=None):

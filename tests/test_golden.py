@@ -5,8 +5,8 @@
   seeded generated triangulations (``data/golden_cli.json``).
 * Parse: the full state of every parsed triangulation, read through its
   public fields and accessors, on the same inputs and on two edge-flipped
-  copies of each; and the error type and message of every seeded corruption
-  of a valid document (``data/golden_parse.json``).
+  copies of each (``oracles.flip_edge``); and the error type and message of
+  every seeded corruption of a valid document (``data/golden_parse.json``).
 
 After a deliberate change of output, regenerate both files with
 
@@ -28,7 +28,8 @@ from quadlift.cli import run
 from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
 
 import generators as gen
-from oracles import arc_of, directed_face_edge, end_cell, suspended_surface
+from oracles import (arc_of, directed_face_edge, end_cell, flip_edge,
+                     serialize, suspended_surface)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_cli.json"
@@ -162,7 +163,7 @@ def parse_state(tri):
                    for c in FACE_CORNERS[f]],
         "end_cell": [end_cell(tri, i, a, b) for i in range(t)
                      for a in range(4) for b in range(4) if a != b],
-        "serialize": tri.serialize(),
+        "serialize": serialize(tri),
         "arc_discs": tri.arc_discs,
         "links": [(link.vertex, link.triangles, link.arcs, link.cells,
                    sorted(link.arc_cells.items()), link.euler_characteristic,
@@ -181,7 +182,7 @@ def golden_states():
         last = len(tri.edge_classes) - 1
         for e in (0, last // 2 + 1 if last else 0):
             digests["%s flip %d" % (name, e)] = _digest(
-                parse_state(tri.with_edge_flipped(e)))
+                parse_state(flip_edge(tri, e)))
     return digests
 
 

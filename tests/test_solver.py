@@ -315,3 +315,25 @@ def test_boolean_coordinates_rejected():
     with pytest.raises(ValueError, match="malformed coordinate row"):
         load_normal_coords({"coords": [[0, 0, 0, 0, False, 0, 0]]}, 1)
     assert load_quads({"quads": [[1, 0, 0]]}, 1) == [1, 0, 0]
+    assert (load_normal_coords({"coords": [[1, 0, 0, 0, 0, 2, 0]]}, 1)
+            == [1, 0, 0, 0, 0, 2, 0])
+    # every message of both loaders, byte for byte
+    for load, key, width, messages in (
+            (load_quads, "quads", 3,
+             ("malformed quads document: missing 'quads'",
+              "quads document must list 2 tetrahedra",
+              "malformed quad row for tetrahedron 1")),
+            (load_normal_coords, "coords", 7,
+             ("malformed coordinates document: missing 'coords'",
+              "coordinates document must list 2 tetrahedra",
+              "malformed coordinate row for tetrahedron 1"))):
+        row = [0] * width
+        bad_docs = ((None, {}, {"quad": []}),
+                    ({key: None}, {key: [row]}, {key: [row] * 3}),
+                    ({key: [row, None]}, {key: [row, row[1:]]},
+                     {key: [row, row + [0]]}, {key: [row, row[:-1] + [1.0]]}))
+        for docs, message in zip(bad_docs, messages):
+            for doc in docs:
+                with pytest.raises(ValueError) as info:
+                    load(doc, 2)
+                assert str(info.value) == message, doc
