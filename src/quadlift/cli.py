@@ -3,15 +3,18 @@
 Exit codes: 0 success / Normal, 2 SpunNormal, 3 NotNormal, 1 input error
 (bad coordinate or matrix data), 64 usage error (unknown subcommand or bad
 arguments), 65 invalid triangulation, 66 unreadable or non-UTF-8 file.
-JSON nested too deeply or with a number too long to convert is malformed.
-Every input error ends with one ``error:`` line on stderr, and identical
+JSON nested too deeply or with a number too long to convert is malformed,
+and so is a result holding a number too long to print.  Every input error
+ends with one ``error:`` line on stderr and nothing on stdout, and identical
 input gives byte-identical output.
 """
 
 import argparse
+import io
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from . import chains, solver
 from .intlinalg import IntMatrix, smith_normal_form
@@ -110,6 +113,20 @@ def _emit_json(payload, out):
     out.write("\n")
 
 
+@contextmanager
+def _printing(path, out):
+    """A buffer whose text goes to ``out`` when printing completes.  It fails
+    only on an integer with more digits than the interpreter converts to
+    text, which sums of input numbers can reach: an input error of ``path``."""
+    buffer = io.StringIO()
+    try:
+        yield buffer
+    except ValueError as exc:
+        raise _InputError("a number in the result for %s is too long to print"
+                          % path, EX_INPUT) from exc
+    out.write(buffer.getvalue())
+
+
 def _link_summaries(tri):
     return [{"vertex": link.vertex, "triangles": len(link.triangles),
              "chi": link.euler_characteristic, "genus": link.genus,
@@ -176,37 +193,38 @@ def _cmd_classify(args, out):
         raise _InputError("inadmissible quadrilateral coordinates in %s"
                           % args.quads, EX_INPUT)
     result = solver.lift(tri, q)
-    if args.as_json:
-        payload = {
-            "classification": result.classification,
-            "coords": (solver.normal_coords_doc(result.canonical_lift)["coords"]
-                       if result.canonical_lift is not None else None),
-            "shifts": {str(v): m for v, m in sorted(result.per_vertex_shift.items())},
-            "cycle_failures": [
-                {"vertex": v,
-                 "cells": [{"cell": tri.cell_name(cell), "sum": s}
-                           for cell, s in items]}
-                for v, items in result.cycle_failures],
-            "boundary_failures": [{"vertex": v, "reason": reason}
-                                  for v, reason in result.boundary_failures],
-        }
-        _emit_json(payload, out)
-        return _EXIT_BY_CLASS[result.classification]
+    with _printing(args.quads, out) as out:
+        if args.as_json:
+            payload = {
+                "classification": result.classification,
+                "coords": (solver.normal_coords_doc(result.canonical_lift)["coords"]
+                           if result.canonical_lift is not None else None),
+                "shifts": {str(v): m for v, m in sorted(result.per_vertex_shift.items())},
+                "cycle_failures": [
+                    {"vertex": v,
+                     "cells": [{"cell": tri.cell_name(cell), "sum": s}
+                               for cell, s in items]}
+                    for v, items in result.cycle_failures],
+                "boundary_failures": [{"vertex": v, "reason": reason}
+                                      for v, reason in result.boundary_failures],
+            }
+            _emit_json(payload, out)
+            return _EXIT_BY_CLASS[result.classification]
 
-    out.write("classification %s\n" % result.classification)
-    if result.classification == solver.NORMAL:
-        rows = solver.normal_coords_doc(result.canonical_lift)["coords"]
-        for tet, row in enumerate(rows):
-            out.write("canonical tet %d: %s\n" % (tet, " ".join(map(str, row))))
-        for v, m in sorted(result.per_vertex_shift.items()):
-            out.write("shift vertex %d: %d\n" % (v, m))
-    for v, items in result.cycle_failures:
-        for cell, s in items:
-            out.write("vertex %d cycle failure at %s: sum %d\n"
-                      % (v, tri.cell_name(cell), s))
-    for v, reason in result.boundary_failures:
-        out.write("vertex %d boundary failure: %s\n" % (v, reason))
-    return _EXIT_BY_CLASS[result.classification]
+        out.write("classification %s\n" % result.classification)
+        if result.classification == solver.NORMAL:
+            rows = solver.normal_coords_doc(result.canonical_lift)["coords"]
+            for tet, row in enumerate(rows):
+                out.write("canonical tet %d: %s\n" % (tet, " ".join(map(str, row))))
+            for v, m in sorted(result.per_vertex_shift.items()):
+                out.write("shift vertex %d: %d\n" % (v, m))
+        for v, items in result.cycle_failures:
+            for cell, s in items:
+                out.write("vertex %d cycle failure at %s: sum %d\n"
+                          % (v, tri.cell_name(cell), s))
+        for v, reason in result.boundary_failures:
+            out.write("vertex %d boundary failure: %s\n" % (v, reason))
+        return _EXIT_BY_CLASS[result.classification]
 
 
 def _cmd_verify(args, out):
@@ -217,27 +235,28 @@ def _cmd_verify(args, out):
     except ValueError as exc:
         raise _InputError(str(exc), EX_INPUT) from exc
     report = solver.verify_normal(tri, coords)
-    if args.as_json:
-        _emit_json({
-            "valid": report.ok,
-            "negatives": [{"disc": d, "value": v} for d, v in report.negatives],
-            "quad_conflicts": [{"tet": t, "types": list(types)}
-                               for t, types in report.admissibility.conflicts],
-            "violated_arcs": [{"arc": tri.arc_name(a), "value": v}
-                              for a, v in report.violated_arcs],
-        }, out)
-        return EX_OK if report.ok else EX_INPUT
-    if report.ok:
-        out.write("valid normal coordinates\n")
-        return EX_OK
-    for disc, value in report.negatives:
-        out.write("negative coordinate at disc %d: %d\n" % (disc, value))
-    for tet, types in report.admissibility.conflicts:
-        out.write("tet %d carries quad types %s\n"
-                  % (tet, " ".join(map(str, types))))
-    for arc, value in report.violated_arcs:
-        out.write("violated equation at %s: %d\n" % (tri.arc_name(arc), value))
-    return EX_INPUT
+    with _printing(args.coords, out) as out:
+        if args.as_json:
+            _emit_json({
+                "valid": report.ok,
+                "negatives": [{"disc": d, "value": v} for d, v in report.negatives],
+                "quad_conflicts": [{"tet": t, "types": list(types)}
+                                   for t, types in report.admissibility.conflicts],
+                "violated_arcs": [{"arc": tri.arc_name(a), "value": v}
+                                  for a, v in report.violated_arcs],
+            }, out)
+            return EX_OK if report.ok else EX_INPUT
+        if report.ok:
+            out.write("valid normal coordinates\n")
+            return EX_OK
+        for disc, value in report.negatives:
+            out.write("negative coordinate at disc %d: %d\n" % (disc, value))
+        for tet, types in report.admissibility.conflicts:
+            out.write("tet %d carries quad types %s\n"
+                      % (tet, " ".join(map(str, types))))
+        for arc, value in report.violated_arcs:
+            out.write("violated equation at %s: %d\n" % (tri.arc_name(arc), value))
+        return EX_INPUT
 
 
 _TRIPLET = re.compile(

@@ -21,8 +21,10 @@ so "bounds, and of what?" is a potential difference on the link's dual
 graph.  One walk over a spanning tree of that graph, from a root with
 potential 0, fixes the triangle coefficients; the arcs outside the tree then
 either all balance (Normal) or one does not (SpunNormal).  The tree is built
-with the link at parse (``VertexLink.tree``).  Each link costs time
-proportional to its size, and a query costs O(t).
+with the link at parse (``VertexLink.tree``).  ``lift`` computes the quad
+boundary once per query, over all arcs (:func:`quad_boundary`); the cycle
+test and the walk of each link read its own arcs of it.  Each link costs
+time proportional to its size, and a query costs O(t).
 """
 
 from dataclasses import dataclass, field
@@ -60,16 +62,15 @@ def check_admissible(q, tet_count=None):
         raise ValueError("quad vector length %d is not a multiple of 3" % len(q))
     negatives = []
     conflicts = []
-    for tet in range(len(q) // 3):
-        present = []
-        for k in (1, 2, 3):
-            value = q[3 * tet + k - 1]
-            if value < 0:
-                negatives.append((tet, k, value))
-            if value != 0:
-                present.append(k)
-        if len(present) > 1:
-            conflicts.append((tet, tuple(present)))
+    # one test per tetrahedron; entries are built only for one that fails
+    for tet, row in enumerate(zip(q[0::3], q[1::3], q[2::3])):
+        a, b, c = row
+        if a < 0 or b < 0 or c < 0 or (a and (b or c)) or (b and c):
+            negatives.extend((tet, k, x) for k, x in enumerate(row, 1)
+                             if x < 0)
+            present = tuple(k for k, x in enumerate(row, 1) if x != 0)
+            if len(present) > 1:
+                conflicts.append((tet, present))
     return AdmissibilityReport(tuple(negatives), tuple(conflicts))
 
 
@@ -91,57 +92,48 @@ def quad_part(tri, chain2):
             for tet in range(tri.tet_count) for k in (1, 2, 3)]
 
 
-def link_quad_boundary(tri, q, vertex):
-    """Coefficients of the quad chain's boundary on the arcs linking
-    ``vertex``, in the order of ``link.arcs``.
-
-    Every arc links exactly one vertex class, so the links together carry
-    the whole boundary.  Each coefficient is s * (q[quad_a] - q[quad_b])
-    for the arc's entry of ``tri.arc_discs``.
-    """
+def quad_boundary(tri, q):
+    """The boundary b of the quad chain, indexed by arc: s * (q[quad_a] -
+    q[quad_b]) for each arc's entry of ``tri.arc_discs``."""
     if len(q) != tri.quad_count:
         raise ValueError("expected %d quad coordinates, got %d"
                          % (tri.quad_count, len(q)))
-    rows = [tri.arc_discs[arc] for arc in tri.links[vertex].arcs]
-    return [s * (q[a] - q[b]) for s, _, _, a, b in rows]
+    return [s * (q[a] - q[b]) for s, _, _, a, b in tri.arc_discs]
 
 
-def cycle_imbalance(tri, q, vertex):
-    """Signed endpoint sums of the link's quad boundary at each 0-cell of the
-    link; all zero exactly when the chain is a 1-cycle there."""
-    link = tri.links[vertex]
+def cycle_imbalance(tri, b, vertex):
+    """Signed endpoint sums of the quad boundary b at each 0-cell of the
+    link of ``vertex``; all zero exactly when b is a 1-cycle there."""
     sums = {}
-    for arc, coeff in zip(link.arcs, link_quad_boundary(tri, q, vertex)):
+    for arc, (tail, head) in tri.links[vertex].arc_cells.items():
+        coeff = b[arc]
         if coeff:
-            tail, head = link.arc_cells[arc]
             sums[head] = sums.get(head, 0) + coeff
             sums[tail] = sums.get(tail, 0) - coeff
     return {cell: s for cell, s in sorted(sums.items()) if s != 0}
 
 
-def boundary_test(tri, q, vertex, root=None):
-    """Decide whether the link's quad boundary b bounds in the link.
+def boundary_test(tri, b, vertex, root=None):
+    """Decide whether the quad boundary b, restricted to the link of
+    ``vertex``, bounds in the link.
 
-    Returns (ok, witness, reason): on success ``witness`` is the integer
-    potential w over the link's triangles (ordered as ``link.triangles``)
-    with boundary -b, zero at position ``root``.  The default root is the
-    last triangle, whose tree ``link.tree`` was built at parse; another root
-    builds its own tree.  The potential is unique up to adding a constant,
-    which is a multiple of the link's fundamental class.  Otherwise
-    ``reason`` is ``"no rational solution"``: an arc outside the tree does
-    not balance.
+    Returns (ok, witness, reason).  On success ``witness`` is the integer
+    potential w over ``link.triangles`` with boundary -b, zero at position
+    ``root``: by default the last triangle, whose tree ``link.tree`` was
+    built at parse (another root builds its own tree).  Otherwise ``reason``
+    is ``"no rational solution"``: an arc outside the tree does not balance.
     An integer obstruction cannot occur, since the first homology of a
     closed orientable surface has no torsion.
     """
     link = tri.links[vertex]
+    arcs = link.arcs
     steps, closing = (link.tree if root is None
                       else dual_tree(link, root, tri.arc_discs))
-    b = link_quad_boundary(tri, q, vertex)
     w = [0] * len(link.triangles)
     for k, d, nb, s in steps:
-        w[nb] = w[d] + s * b[k]
+        w[nb] = w[d] + s * b[arcs[k]]
     for k, d, nb, s in closing:
-        if s * (w[d] - w[nb]) + b[k]:
+        if s * (w[d] - w[nb]) + b[arcs[k]]:
             return False, None, "no rational solution"
     return True, w, None
 
@@ -176,33 +168,29 @@ def lift(tri, q):
     if not report.ok:
         raise ValueError("inadmissible quadrilateral coordinates: %r" % (report,))
 
+    b = quad_boundary(tri, q)
     cycle_failures = []
     for vertex in range(len(tri.links)):
-        imbalance = cycle_imbalance(tri, q, vertex)
+        imbalance = cycle_imbalance(tri, b, vertex)
         if imbalance:
             cycle_failures.append((vertex, tuple(imbalance.items())))
     if cycle_failures:
         return LiftResult(NOT_NORMAL, cycle_failures=tuple(cycle_failures))
 
-    witnesses = {}
-    boundary_failures = []
-    for vertex in range(len(tri.links)):
-        ok, witness, reason = boundary_test(tri, q, vertex)
-        if ok:
-            witnesses[vertex] = witness
-        else:
-            boundary_failures.append((vertex, reason))
-    if boundary_failures:
-        return LiftResult(SPUN_NORMAL, boundary_failures=tuple(boundary_failures))
-
     coords = quad_chain(tri, q)
     shifts = {}
-    for vertex, witness in witnesses.items():
-        link = tri.links[vertex]
+    boundary_failures = []
+    for vertex, link in enumerate(tri.links):
+        ok, witness, reason = boundary_test(tri, b, vertex)
+        if not ok:
+            boundary_failures.append((vertex, reason))
+            continue
         m = min(witness)
         shifts[vertex] = m - witness[-1]
         for disc, value in zip(link.triangles, witness):
             coords[disc] = value - m
+    if boundary_failures:
+        return LiftResult(SPUN_NORMAL, boundary_failures=tuple(boundary_failures))
 
     residue = chains.apply_boundary(tri, coords)
     if any(residue) or min(coords) < 0:

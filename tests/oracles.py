@@ -4,9 +4,10 @@ The first sections are written against the raw gluing documents (or against
 first principles) rather than against the library's internals, so a bug in
 the package cannot hide in its own oracle.  The later ones are reference
 implementations the package no longer needs: integer solving and kernels,
-the per-disc boundary and the matching equations, and the per-vertex link
-builder and Smith-form lift that the package replaced.  The last section
-holds small helpers that only the tests use.
+the per-disc boundary and the matching equations, and the per-entry
+admissibility loop, per-vertex link builder and Smith-form lift that the
+package replaced.  The last section holds small helpers that only the tests
+use.
 """
 
 import copy
@@ -18,9 +19,10 @@ from math import gcd
 from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
                                 solve_with_smith)
 from quadlift.links import VertexLink, build_all_links
-from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL, LiftResult,
-                             boundary_test, check_admissible, cycle_imbalance,
-                             link_quad_boundary, quad_chain)
+from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL,
+                             AdmissibilityReport, LiftResult, boundary_test,
+                             check_admissible, cycle_imbalance, quad_boundary,
+                             quad_chain)
 from quadlift.triangulation import (LOCAL_EDGES, PERMS, EdgeClass,
                                     TriangulationError, perm_sign, quad_disc)
 
@@ -703,7 +705,31 @@ def link_boundary_restriction_check(tri, link):
 
 
 # ----------------------------------------------------------------------
-# the former library paths: per-vertex link building and the Smith-form lift
+# the former library paths: the per-entry admissibility loop, per-vertex
+# link building and the Smith-form lift
+
+def check_admissible_loop(q, tet_count=None):
+    """``solver.check_admissible`` as one test per entry, the way the
+    package checked admissibility before it tested each tetrahedron once."""
+    if tet_count is not None and len(q) != 3 * tet_count:
+        raise ValueError("expected %d quad coordinates, got %d"
+                         % (3 * tet_count, len(q)))
+    if len(q) % 3:
+        raise ValueError("quad vector length %d is not a multiple of 3" % len(q))
+    negatives = []
+    conflicts = []
+    for tet in range(len(q) // 3):
+        present = []
+        for k in (1, 2, 3):
+            value = q[3 * tet + k - 1]
+            if value < 0:
+                negatives.append((tet, k, value))
+            if value != 0:
+                present.append(k)
+        if len(present) > 1:
+            conflicts.append((tet, tuple(present)))
+    return AdmissibilityReport(tuple(negatives), tuple(conflicts))
+
 
 def build_link(tri, vertex):
     """The link of one vertex class by a scan of every face class, the way
@@ -846,12 +872,13 @@ def check_witness_independence(tri, q, result, rng, trials):
     rooted at every triangle of the link must all, after subtracting their
     minimum, equal the canonical lift on the link's triangles, and must all
     give ``min(w) - w[-1]`` as the vertex's shift."""
+    b = quad_boundary(tri, q)
     for v, link in enumerate(tri.links):
         canonical = [result.canonical_lift[d] for d in link.triangles]
         shift = result.per_vertex_shift[v]
         witnesses = []
         a = link_boundary_matrix(tri, link)
-        rhs = [-c for c in link_quad_boundary(tri, q, v)]
+        rhs = [-b[arc] for arc in link.arcs]
         for _ in range(trials):
             rows = list(range(a.nrows))
             cols = list(range(a.ncols))
@@ -861,7 +888,7 @@ def check_witness_independence(tri, q, result, rng, trials):
             assert res.ok
             witnesses.append(res.solution)
         for root in range(len(link.triangles)):
-            ok, w, reason = boundary_test(tri, q, v, root=root)
+            ok, w, reason = boundary_test(tri, b, v, root=root)
             assert ok and reason is None and w[root] == 0
             assert a.mul_vec(w) == rhs
             witnesses.append(w)
@@ -909,7 +936,7 @@ def triangle_part(tri, chain2):
 
 
 def cycle_test(tri, q, vertex):
-    return not cycle_imbalance(tri, q, vertex)
+    return not cycle_imbalance(tri, quad_boundary(tri, q), vertex)
 
 
 def edge_slot(tet, a, b):

@@ -338,6 +338,7 @@ def test_boolean_tet_count_exit_65(tmp_path):
 # "error:" line on stderr, never with an exception out of ``run``.
 DEEP = b"[" * 200000 + b"]" * 200000
 LONG_NUMBER = "7" * 5000   # past the interpreter's int-to-str digit limit
+LIMIT_NUMBER = "9" * 4300  # at that limit, so twice it is past it
 
 
 def assert_one_error_line(err):
@@ -376,6 +377,25 @@ def test_numbers_past_the_digit_limit_are_rejected(tmp_path):
                             "--coords", str(coords))
     assert (code, out) == (1, "")
     assert_one_error_line(err)
+
+
+def test_results_past_the_digit_limit_print_nothing(tmp_path):
+    # every input number can be read, but a matching-equation residue or a
+    # cycle sum of two of them cannot be printed
+    coords = tmp_path / "c.json"
+    row = "[%s, 0, 0, 0, %s, 0, 0]" % (LIMIT_NUMBER, LIMIT_NUMBER)
+    coords.write_text('{"coords": [%s, [0, 0, 0, 0, 0, 0, 0]]}' % row)
+    quads = tmp_path / "q.json"
+    quads.write_text('{"quads": [[0, %s, 0]]}' % LIMIT_NUMBER)
+    for argv in (("verify", "--tri", path("double_tet.json"),
+                  "--coords", str(coords)),
+                 ("classify", "--tri", path("one_tet.json"),
+                  "--quads", str(quads))):
+        for mode in ((), ("--json",)):
+            code, out, err = invoke(*argv, *mode)
+            assert (code, out) == (1, ""), argv + mode
+            assert_one_error_line(err)
+            assert "too long to print" in err
 
 
 def test_undecodable_files_exit_66(tmp_path):

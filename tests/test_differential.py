@@ -8,14 +8,15 @@ that the link pass builds must give the boundary matrix and the quad
 boundary of every link that the per-disc boundary of the oracles gives.
 """
 
+import copy
 import itertools
 import random
 
 import pytest
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
-from quadlift.chains import boundary_matrix
-from quadlift.solver import boundary_test, link_quad_boundary, quad_chain
+from quadlift.chains import apply_boundary, boundary_matrix
+from quadlift.solver import boundary_test, quad_boundary, quad_chain
 from conftest import load_doc, load_tri
 from oracles import (boundary_of, disc_boundary, flip_edge,
                      link_boundary_matrix, smith_lift, solve_integer,
@@ -38,8 +39,9 @@ def assert_arc_table_matches_per_disc_oracle(tri):
         q = [0] * tri.quad_count
         q[index] = 1
         boundary = boundary_of(tri, quad_chain(tri, q))
-        for v, link in enumerate(tri.links):
-            assert link_quad_boundary(tri, q, v) == [boundary[arc]
+        b = quad_boundary(tri, q)
+        for link in tri.links:
+            assert [b[arc] for arc in link.arcs] == [boundary[arc]
                                                      for arc in link.arcs]
 
 
@@ -50,6 +52,20 @@ def test_arc_table_matches_per_disc_oracle(doc):
     assert_arc_table_matches_per_disc_oracle(tri)
     for edge in {0, len(tri.edge_classes) // 2}:
         assert_arc_table_matches_per_disc_oracle(flip_edge(tri, edge))
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in ARC_TABLE_DOCS],
+                         ids=[name for name, _ in ARC_TABLE_DOCS])
+@pytest.mark.parametrize("moved", [False, True], ids=["", "one-four"])
+def test_quad_boundary_is_the_boundary_of_the_quad_chain(doc, moved):
+    if moved:
+        doc = gen.one_four_move(copy.deepcopy(doc), 0)
+    tri = parse_triangulation(doc)
+    rng = random.Random(tri.tet_count)
+    queries = gen.edge_link_vectors(tri) + [
+        [rng.randint(-3, 3) for _ in range(tri.quad_count)] for _ in range(8)]
+    for q in queries:
+        assert quad_boundary(tri, q) == apply_boundary(tri, quad_chain(tri, q))
 
 
 def generated_queries(tri, rng, cover=None):
@@ -148,9 +164,10 @@ def test_boundary_test_agrees_with_smith_on_non_cycles_too(name):
     tri = load_tri(name + ".json")
     matrices = [link_boundary_matrix(tri, link) for link in tri.links]
     for q in small_admissible_vectors(tri):
+        b = quad_boundary(tri, q)
         for v, a in enumerate(matrices):
-            rhs = [-c for c in link_quad_boundary(tri, q, v)]
-            ok, w, reason = boundary_test(tri, q, v)
+            rhs = [-b[arc] for arc in tri.links[v].arcs]
+            ok, w, reason = boundary_test(tri, b, v)
             assert ok == solve_integer(a, rhs).ok
             if ok:
                 assert a.mul_vec(w) == rhs
@@ -179,5 +196,6 @@ def test_every_root_gives_the_same_verdict_on_spun_data():
     link = tri.links[0]
     for m in (1, 2, 3):
         for root in range(len(link.triangles)):
-            assert boundary_test(tri, gen.fig8_spun(3, m), 0, root=root) == (
+            b = quad_boundary(tri, gen.fig8_spun(3, m))
+            assert boundary_test(tri, b, 0, root=root) == (
                 False, None, "no rational solution")

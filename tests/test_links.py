@@ -6,7 +6,7 @@ from quadlift import parse_triangulation
 from quadlift.chains import apply_boundary
 from quadlift.intlinalg import IntMatrix, smith_normal_form
 from quadlift.links import build_all_links
-from quadlift.solver import boundary_test
+from quadlift.solver import boundary_test, quad_boundary
 from oracles import (arc_of, build_link, disc_boundary, fundamental_class,
                      kernel_basis, link_boundary_matrix,
                      link_boundary_restriction_check, projection,
@@ -120,7 +120,8 @@ def assert_tree_invariants(tri):
             assert s == coeff
             assert (coeff == 0) == (d == nb)
         for q in queries:
-            assert boundary_test(tri, q, v) == boundary_test(tri, q, v,
+            b = quad_boundary(tri, q)
+            assert boundary_test(tri, b, v) == boundary_test(tri, b, v,
                                                              root=last)
 
 

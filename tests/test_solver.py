@@ -6,10 +6,11 @@ import pytest
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, verify_normal
 from quadlift.chains import apply_boundary
 from quadlift.solver import (boundary_test, check_admissible,
-                             link_quad_boundary, load_normal_coords,
-                             load_quads, quad_chain, quad_part)
+                             load_normal_coords, load_quads, quad_boundary,
+                             quad_chain, quad_part)
 from conftest import load_doc
-from oracles import (arc_of, arc_sign, check_witness_independence, cycle_test,
+from oracles import (arc_of, arc_sign, check_admissible_loop,
+                     check_witness_independence, cycle_test,
                      enumerate_matching_solutions, link_boundary_matrix,
                      partial_boundary, quad_cut_corner)
 
@@ -35,6 +36,36 @@ def test_negative_entry_inadmissible():
     assert report.negatives == ((1, 2, -1),)
 
 
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_admissibility_matches_the_per_entry_loop():
+    rng = random.Random(316)
+    for _ in range(400):
+        tets = rng.randint(0, 6)
+        q = [0] * (3 * tets)
+        for tet in range(tets):   # mostly admissible, as a lift's input is
+            if rng.random() < 0.7:
+                q[3 * tet + rng.randrange(3)] = rng.randint(0, 2)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):   # corruptions
+            kind = rng.randrange(5)
+            if kind < 2 and q:
+                q[rng.randrange(len(q))] = rng.randint(-2, 2)
+            elif kind == 2 and q:
+                q[rng.randrange(len(q))] = rng.choice((-1, 1)) * 10 ** 30
+            elif kind == 3:
+                q.insert(rng.randint(0, len(q)), rng.randint(-1, 1))
+            elif q:
+                del q[rng.randrange(len(q))]
+        for tet_count in (None, tets, len(q) // 3):
+            assert (outcome(check_admissible, q, tet_count)
+                    == outcome(check_admissible_loop, q, tet_count)), q
+
+
 def test_bad_length_rejected(double_tet):
     with pytest.raises(ValueError):
         check_admissible([0, 0, 0], tet_count=2)
@@ -47,9 +78,9 @@ def test_bad_length_rejected(double_tet):
 
 def test_partial_boundary_zero(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
-        for v, link in enumerate(tri.links):
-            b = link_quad_boundary(tri, [0] * tri.quad_count, v)
-            assert b == [0] * len(link.arcs)
+        b = quad_boundary(tri, [0] * tri.quad_count)
+        for link in tri.links:
+            assert [b[arc] for arc in link.arcs] == [0] * len(link.arcs)
 
 
 def test_partial_boundary_direct_recomputation(acceptance_fixtures):
@@ -57,6 +88,7 @@ def test_partial_boundary_direct_recomputation(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
         for _ in range(30):
             q = [rng.randint(0, 3) for _ in range(tri.quad_count)]
+            b = quad_boundary(tri, q)
             for v, link in enumerate(tri.links):
                 expect = [0] * tri.arc_count
                 for tet in range(tri.tet_count):
@@ -73,7 +105,7 @@ def test_partial_boundary_direct_recomputation(acceptance_fixtures):
                 arcs = set(link.arcs)
                 assert not any(expect[arc] for arc in range(tri.arc_count)
                                if arc not in arcs)
-                assert link_quad_boundary(tri, q, v) == [expect[arc]
+                assert [b[arc] for arc in link.arcs] == [expect[arc]
                                                          for arc in link.arcs]
                 assert partial_boundary(tri, q, v) == expect
 
@@ -83,16 +115,17 @@ def test_partial_boundaries_sum_to_boundary(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
         for _ in range(100):
             q = [rng.randint(0, 3) for _ in range(tri.quad_count)]
+            b = quad_boundary(tri, q)
             total = [0] * tri.arc_count
-            for v, link in enumerate(tri.links):
-                for arc, c in zip(link.arcs, link_quad_boundary(tri, q, v)):
-                    total[arc] += c
+            for link in tri.links:
+                for arc in link.arcs:
+                    total[arc] += b[arc]
             assert total == apply_boundary(tri, quad_chain(tri, q))
 
 
-def test_link_quad_boundary_rejects_bad_length(double_tet):
+def test_quad_boundary_rejects_bad_length(double_tet):
     with pytest.raises(ValueError):
-        link_quad_boundary(double_tet, [0, 0, 0], 0)
+        quad_boundary(double_tet, [0, 0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -133,27 +166,29 @@ def test_sphere_links_cycle_implies_boundary(sphere_fixtures):
             q = [x for row in combo for x in row]
             passes = all(cycle_test(tri, q, v) for v in range(len(tri.links)))
             if passes:
+                b = quad_boundary(tri, q)
                 for v in range(len(tri.links)):
-                    ok, witness, _ = boundary_test(tri, q, v)
+                    ok, witness, _ = boundary_test(tri, b, v)
                     assert ok
                     link = tri.links[v]
                     rhs = [-c for c in partial_boundary(tri, q, v)]
                     a = link_boundary_matrix(tri, link)
                     assert a.mul_vec(witness) == [rhs[arc] for arc in link.arcs]
                     assert [rhs[arc] for arc in link.arcs] == [
-                        -c for c in link_quad_boundary(tri, q, v)]
+                        -b[arc] for arc in link.arcs]
 
 
 def test_boundary_test_zero_witness(double_tet):
+    b = quad_boundary(double_tet, [0] * 6)
     for v in range(4):
-        ok, witness, reason = boundary_test(double_tet, [0] * 6, v)
+        ok, witness, reason = boundary_test(double_tet, b, v)
         assert ok and reason is None
         assert witness == [0] * len(double_tet.links[v].triangles)
 
 
 def test_fig8_spun_fixture(fig8):
     assert all(cycle_test(fig8, SPUN_Q, v) for v in range(1))
-    ok, witness, reason = boundary_test(fig8, SPUN_Q, 0)
+    ok, witness, reason = boundary_test(fig8, quad_boundary(fig8, SPUN_Q), 0)
     assert not ok and witness is None
     assert reason == "no rational solution"
     result = lift(fig8, SPUN_Q)
