@@ -189,10 +189,11 @@ def _cmd_classify(args, out):
         q = solver.load_quads(doc, tri.tet_count)
     except ValueError as exc:
         raise _InputError(str(exc), EX_INPUT) from exc
-    if not solver.check_admissible(q, tri.tet_count).ok:
+    try:
+        result = solver.lift(tri, q)
+    except ValueError as exc:    # q has the right length: inadmissible
         raise _InputError("inadmissible quadrilateral coordinates in %s"
-                          % args.quads, EX_INPUT)
-    result = solver.lift(tri, q)
+                          % args.quads, EX_INPUT) from exc
     with _printing(args.quads, out) as out:
         if args.as_json:
             payload = {

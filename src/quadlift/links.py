@@ -5,9 +5,10 @@ triangles cutting off v, one per incidence of v in a tetrahedron.  Its 1-cells
 are the normal arcs linking v and its 0-cells sit on the ends of the edge
 classes incident to v.  On a valid triangulation every link is connected and
 orientable (see :func:`build_all_links`), and its homeomorphism type is
-determined by the Euler characteristic.  Each link also carries a spanning
-tree of its dual graph (triangles joined across arcs), grown at parse;
-``solver.boundary_test`` walks it.
+determined by the Euler characteristic.  The dual graphs of all links
+(triangles joined across arcs) form one graph on the triangle discs whose
+components are the links; the link pass grows one breadth-first forest over
+it, and each link keeps its tree for ``solver.boundary_test`` to walk.
 """
 
 from .triangulation import (ARC_EDGES, FACE_CORNERS, PERMS, perm_sign,
@@ -40,18 +41,22 @@ class VertexLink:
     * ``arcs``: global arc indices of its 1-cells, sorted.
     * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head.
     * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc.
-    * ``tree``: the spanning tree of :func:`dual_tree` rooted at the last
-      triangle.
+    * ``tree``: (steps, closing), the link's tree of the dual forest of
+      :func:`build_all_links`, rooted at the last triangle.  A step (arc,
+      d, nb, s) crosses a tree arc from triangle disc d to disc nb, where s
+      is the arc's coefficient in the boundary of d; the steps reach every
+      triangle.  A closing entry is an arc outside the tree in the same
+      form; an arc whose two sides lie on one triangle is closing with
+      d = nb and s = 0.  Arcs and discs are global indices.
 
     The two link triangles along an arc, and their signs on it, are the
-    arc's entry of the triangulation's ``arc_discs`` (see
-    :func:`build_all_links`).
+    arc's entry of the triangulation's ``arc_discs``.
     """
 
     __slots__ = ("vertex", "triangles", "arcs", "cells", "arc_cells",
                  "euler_characteristic", "genus", "is_sphere", "tree")
 
-    def __init__(self, vertex, triangles, arcs, cells, arc_cells, arc_discs):
+    def __init__(self, vertex, triangles, arcs, cells, arc_cells, tree):
         self.vertex = vertex
         self.triangles = triangles
         self.arcs = arcs
@@ -61,7 +66,7 @@ class VertexLink:
         self.euler_characteristic = chi
         self.genus = (2 - chi) // 2
         self.is_sphere = chi == 2
-        self.tree = dual_tree(self, len(triangles) - 1, arc_discs)
+        self.tree = tree
 
     def __repr__(self):
         return "VertexLink(vertex %d, %d triangles, chi %d)" % (
@@ -91,6 +96,12 @@ def build_all_links(tri):
     the other side, ``tri_b`` and ``quad_b``, have ``-s``.  On a face glued
     to another face of its own tetrahedron the two triangles can be one
     disc, whose terms cancel; the two quads are always different types.
+
+    Each link's tree is grown breadth first from its last triangle, through
+    each disc's arcs in index order; an arc whose two sides lie on one disc
+    is no edge of the graph and goes first into the closing arcs.  The arcs
+    of the discs sit in two flat lists: a list per disc (7t lists) made the
+    garbage collector run a third more often in a parse-and-lift loop.
     """
     count = len(tri.vertex_classes)
     vertex_class = tri.vertex_class_at
@@ -100,6 +111,10 @@ def build_all_links(tri):
     cell = [(e, end) for e in range(len(tri.edge_classes)) for end in (0, 1)]
     arcs = [[] for _ in range(count)]
     arc_cells = [{} for _ in range(count)]
+    closings = [[] for _ in range(count)]
+    # sides[3d:3d + fill[d]]: the arcs of disc d, in index order
+    sides = [0] * (21 * tri.tet_count)
+    fill = [0] * (7 * tri.tet_count)
     arc_discs = []
     # face classes in the order of their representative slots x < y
     for x, y in enumerate(tri._partner):
@@ -123,63 +138,49 @@ def build_all_links(tri):
             else:
                 arc_cells[vertex][arc] = (cell_y, cell_x)
                 s = -s
-            arc_discs.append((o * s, 7 * i + v, 7 * j + image,
-                              3 * i + quad_a, 3 * j + quad_b))
-    tri.arc_discs = arc_discs = tuple(arc_discs)
+            s *= o
+            d, nb = 7 * i + v, 7 * j + image
+            arc_discs.append((s, d, nb, 3 * i + quad_a, 3 * j + quad_b))
+            if d == nb:
+                closings[vertex].append((arc, d, d, 0))
+            else:
+                sides[3 * d + fill[d]] = sides[3 * nb + fill[nb]] = arc
+                fill[d] += 1
+                fill[nb] += 1
+    tri.arc_discs = tuple(arc_discs)
     cells = [[] for _ in range(count)]
     for e in tri.edge_classes:
         cells[e.tail_vertex].append(cell[2 * e.index])
         cells[e.head_vertex].append(cell[2 * e.index + 1])
-    # slots (disc 7i+v of slot 4i+v) and edge classes come in index order,
-    # so triangles and cells are sorted
-    return tuple(
-        VertexLink(vc.index, tuple(x + 3 * (x >> 2) for x in vc.slots),
-                   tuple(arcs[vc.index]), tuple(cells[vc.index]),
-                   arc_cells[vc.index], arc_discs)
-        for vc in tri.vertex_classes)
-
-
-def dual_tree(link, root, arc_discs):
-    """A spanning tree of the link's dual graph, grown breadth first from
-    the triangle at position ``root`` of ``link.triangles``; each arc's two
-    triangles and sign are its entry of ``arc_discs``.
-
-    Returns (steps, closing).  A step (k, d, nb, s) crosses the tree arc at
-    position k of ``link.arcs`` from triangle d to triangle nb, where s is
-    the arc's coefficient in the boundary of d (d and nb are positions in
-    ``link.triangles``).  A closing entry (k, d, nb, s) is an arc outside
-    the tree in the same form; an arc whose two sides lie on one triangle is
-    closing with d = nb and s = 0.  The steps reach every triangle, since
-    the link is connected.
-    """
-    index = {d: k for k, d in enumerate(link.triangles)}
-    neighbours = [[] for _ in link.triangles]
-    closing = []
-    for k, arc in enumerate(link.arcs):
-        s, d1, d2, _, _ = arc_discs[arc]
-        d, nb = index[d1], index[d2]
-        if d == nb:
-            closing.append((k, d, d, 0))
-        else:
-            neighbours[d].append((k, nb, s))
-            neighbours[nb].append((k, d, -s))
-    steps = []
-    used = [False] * len(link.arcs)
-    seen = [False] * len(link.triangles)
-    seen[root] = True
-    queue = [root]
-    for d in queue:    # the queue grows while it is read
-        for k, nb, s in neighbours[d]:
-            if used[k]:
-                continue
-            used[k] = True
-            if seen[nb]:
-                closing.append((k, d, nb, s))
-            else:
-                seen[nb] = True
-                steps.append((k, d, nb, s))
-                queue.append(nb)
-    return steps, closing
+    used = [False] * len(arc_discs)
+    seen = [False] * len(fill)
+    links = []
+    for vc in tri.vertex_classes:
+        # slots (disc 7i+v of slot 4i+v) and edge classes come in index
+        # order, so triangles and cells are sorted
+        triangles = tuple(x + 3 * (x >> 2) for x in vc.slots)
+        steps, closing = [], closings[vc.index]
+        root = triangles[-1]
+        seen[root] = True
+        queue = [root]
+        for d in queue:    # the queue grows while it is read
+            for arc in sides[3 * d:3 * d + fill[d]]:
+                if used[arc]:
+                    continue
+                used[arc] = True
+                s, a, nb, _, _ = arc_discs[arc]
+                if a != d:
+                    nb, s = a, -s
+                if seen[nb]:
+                    closing.append((arc, d, nb, s))
+                else:
+                    seen[nb] = True
+                    steps.append((arc, d, nb, s))
+                    queue.append(nb)
+        links.append(VertexLink(vc.index, triangles, tuple(arcs[vc.index]),
+                                tuple(cells[vc.index]), arc_cells[vc.index],
+                                (steps, closing)))
+    return tuple(links)
 
 
 # Not used by the package.  perfbench/test_bench.py's tracer test expects

@@ -20,17 +20,17 @@ Every arc of a link lies on exactly two link triangles with opposite signs,
 so "bounds, and of what?" is a potential difference on the link's dual
 graph.  One walk over a spanning tree of that graph, from a root with
 potential 0, fixes the triangle coefficients; the arcs outside the tree then
-either all balance (Normal) or one does not (SpunNormal).  The tree is built
-with the link at parse (``VertexLink.tree``).  ``lift`` computes the quad
-boundary once per query, over all arcs (:func:`quad_boundary`); the cycle
-test and the walk of each link read its own arcs of it.  Each link costs
-time proportional to its size, and a query costs O(t).
+either all balance (Normal) or one does not (SpunNormal).  The trees are the
+dual forest grown with the links at parse (``VertexLink.tree``).  ``lift``
+computes the quad boundary once per query, over all arcs
+(:func:`quad_boundary`); the cycle test and the walk of each link read its
+own arcs of it, and the walk writes the potential straight into the lift.
+Each link costs time proportional to its size, and a query costs O(t).
 """
 
 from dataclasses import dataclass, field
 
 from . import chains
-from .links import dual_tree
 # Neither name is used here.  perfbench/test_bench.py's tracer test deletes
 # ``solver.smith_normal_form`` and expects every other traced target, among
 # them ``solver.solve_with_smith``, to still exist.
@@ -113,29 +113,24 @@ def cycle_imbalance(tri, b, vertex):
     return {cell: s for cell, s in sorted(sums.items()) if s != 0}
 
 
-def boundary_test(tri, b, vertex, root=None):
+def boundary_test(tri, b, vertex, w):
     """Decide whether the quad boundary b, restricted to the link of
     ``vertex``, bounds in the link.
 
-    Returns (ok, witness, reason).  On success ``witness`` is the integer
-    potential w over ``link.triangles`` with boundary -b, zero at position
-    ``root``: by default the last triangle, whose tree ``link.tree`` was
-    built at parse (another root builds its own tree).  Otherwise ``reason``
-    is ``"no rational solution"``: an arc outside the tree does not balance.
-    An integer obstruction cannot occur, since the first homology of a
-    closed orientable surface has no torsion.
+    Walks the link's tree from its root, whose potential ``w`` already
+    holds, and writes into ``w`` (indexed by disc) the integer potential on
+    the link's triangles with boundary -b.  Returns whether every closing
+    arc balances; when one does not, b has no rational solution there.  An
+    integer obstruction cannot occur, since the first homology of a closed
+    orientable surface has no torsion.
     """
-    link = tri.links[vertex]
-    arcs = link.arcs
-    steps, closing = (link.tree if root is None
-                      else dual_tree(link, root, tri.arc_discs))
-    w = [0] * len(link.triangles)
-    for k, d, nb, s in steps:
-        w[nb] = w[d] + s * b[arcs[k]]
-    for k, d, nb, s in closing:
-        if s * (w[d] - w[nb]) + b[arcs[k]]:
-            return False, None, "no rational solution"
-    return True, w, None
+    steps, closing = tri.links[vertex].tree
+    for arc, d, nb, s in steps:
+        w[nb] = w[d] + s * b[arc]
+    for arc, d, nb, s in closing:
+        if s * (w[d] - w[nb]) + b[arc]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,9 @@ class LiftResult:
 
     ``canonical_lift`` (present only for Normal) is the full disc vector with
     the given quad part and the minimal non-negative triangle completion;
-    ``per_vertex_shift`` records, per vertex, min(w) - w[last] for the link
-    potential w of :func:`boundary_test`, where ``last`` is the link's last
-    triangle.  It is the same for every root of the walk.
+    ``per_vertex_shift`` records, per vertex, min(w) - w[last] for a link
+    potential w (any two differ by a constant), where ``last`` is the
+    link's last triangle, the root of the walk of :func:`boundary_test`.
     """
 
     classification: str
@@ -177,18 +172,17 @@ def lift(tri, q):
     if cycle_failures:
         return LiftResult(NOT_NORMAL, cycle_failures=tuple(cycle_failures))
 
+    # the triangle entries of coords start at 0, so every root's is 0
     coords = quad_chain(tri, q)
     shifts = {}
     boundary_failures = []
     for vertex, link in enumerate(tri.links):
-        ok, witness, reason = boundary_test(tri, b, vertex)
-        if not ok:
-            boundary_failures.append((vertex, reason))
+        if not boundary_test(tri, b, vertex, coords):
+            boundary_failures.append((vertex, "no rational solution"))
             continue
-        m = min(witness)
-        shifts[vertex] = m - witness[-1]
-        for disc, value in zip(link.triangles, witness):
-            coords[disc] = value - m
+        shifts[vertex] = m = min([coords[d] for d in link.triangles])
+        for d in link.triangles:
+            coords[d] -= m
     if boundary_failures:
         return LiftResult(SPUN_NORMAL, boundary_failures=tuple(boundary_failures))
 

@@ -5,9 +5,9 @@ first principles) rather than against the library's internals, so a bug in
 the package cannot hide in its own oracle.  The later ones are reference
 implementations the package no longer needs: integer solving and kernels,
 the per-disc boundary and the matching equations, and the per-entry
-admissibility loop, per-vertex link builder and Smith-form lift that the
-package replaced.  The last section holds small helpers that only the tests
-use.
+admissibility loop, per-vertex link builder, per-link dual tree at any root
+and Smith-form lift that the package replaced.  The last section holds small
+helpers that only the tests use.
 """
 
 import copy
@@ -15,6 +15,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
                                 solve_with_smith)
@@ -785,8 +786,60 @@ def build_link(tri, vertex):
             raise TriangulationError(
                 "link of vertex %d is disconnected" % vertex)
 
-    return VertexLink(vertex, triangles, arcs, cells, arc_cells,
-                      tri.arc_discs)
+    link = VertexLink(vertex, triangles, arcs, cells, arc_cells, None)
+    link.tree = dual_tree(link, len(triangles) - 1, tri.arc_discs)
+    return link
+
+
+def dual_tree(link, root, arc_discs):
+    """A spanning tree of the link's dual graph, in the form of
+    ``VertexLink.tree``, grown breadth first from the triangle at position
+    ``root`` of ``link.triangles`` with each arc's two triangles and sign
+    read from ``arc_discs``: the per-link tree the package grew before it
+    grew one forest over all links."""
+    neighbours = {d: [] for d in link.triangles}
+    closing = []
+    for arc in link.arcs:
+        s, d, nb, _, _ = arc_discs[arc]
+        if d == nb:
+            closing.append((arc, d, d, 0))
+        else:
+            neighbours[d].append((arc, nb, s))
+            neighbours[nb].append((arc, d, -s))
+    root = link.triangles[root]
+    steps = []
+    used = set()
+    seen = {root}
+    queue = [root]
+    for d in queue:
+        for arc, nb, s in neighbours[d]:
+            if arc in used:
+                continue
+            used.add(arc)
+            if nb in seen:
+                closing.append((arc, d, nb, s))
+            else:
+                seen.add(nb)
+                steps.append((arc, d, nb, s))
+                queue.append(nb)
+    return steps, closing
+
+
+def link_potential(tri, b, vertex, root=None):
+    """``solver.boundary_test`` on the link of ``vertex`` in the form
+    (ok, witness, reason): ``witness`` is the potential over
+    ``link.triangles``, zero at position ``root``, or None with reason
+    ``"no rational solution"``.  The default root is the last triangle,
+    whose tree is ``link.tree``; another root walks :func:`dual_tree`
+    there, handed to ``boundary_test`` as the only link it reads."""
+    link = tri.links[vertex]
+    w = [0] * tri.disc_count
+    if root is not None:
+        tree = dual_tree(link, root, tri.arc_discs)
+        tri = SimpleNamespace(links={vertex: SimpleNamespace(tree=tree)})
+    if not boundary_test(tri, b, vertex, w):
+        return False, None, "no rational solution"
+    return True, [w[d] for d in link.triangles], None
 
 
 def link_boundary_matrix(tri, link):
@@ -888,7 +941,7 @@ def check_witness_independence(tri, q, result, rng, trials):
             assert res.ok
             witnesses.append(res.solution)
         for root in range(len(link.triangles)):
-            ok, w, reason = boundary_test(tri, b, v, root=root)
+            ok, w, reason = link_potential(tri, b, v, root=root)
             assert ok and reason is None and w[root] == 0
             assert a.mul_vec(w) == rhs
             witnesses.append(w)

@@ -14,7 +14,7 @@ from quadlift import (NORMAL, SPUN_NORMAL, lift, parse_triangulation,
 from quadlift.chains import apply_boundary
 from quadlift.cli import run as cli_run
 from quadlift.intlinalg import IntMatrix, smith_normal_form
-from quadlift.solver import boundary_test, quad_boundary, quad_part
+from quadlift.solver import quad_boundary, quad_part
 from quadlift.triangulation import FACE_CORNERS, perm_sign
 
 from conftest import DATA, load_doc
@@ -22,8 +22,8 @@ from oracles import (apply_matching, arc_sign, box_solve,
                      check_witness_independence, cycle_test,
                      enumerate_matching_solutions, flip_edge,
                      fundamental_class, link_boundary_restriction_check,
-                     matmul, minors_gcd, random_isomorphism, random_matrix,
-                     relabel_doc, simplex_arc_sign, solve_integer,
+                     link_potential, matmul, minors_gcd, random_isomorphism,
+                     random_matrix, relabel_doc, simplex_arc_sign, solve_integer,
                      translate_disc_vector, translate_quad_vector)
 
 SPUN_Q = [0, 0, 1, 0, 0, 2]
@@ -167,7 +167,7 @@ def test_criterion_08_spun_detection(fig8):
         q = [x for row in combo for x in row]
         if not all(cycle_test(fig8, q, v) for v in range(len(fig8.links))):
             continue
-        if not all(boundary_test(fig8, quad_boundary(fig8, q), v)[0]
+        if not all(link_potential(fig8, quad_boundary(fig8, q), v)[0]
                    for v in range(len(fig8.links))):
             spun.append(q)
     assert spun, "no spun-normal vector with entries <= 2 found"

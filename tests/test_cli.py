@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+import quadlift
 from quadlift.cli import run
 
 from conftest import DATA
@@ -92,7 +96,7 @@ def test_classify_inadmissible_exit_one(tmp_path):
     code, _, err = invoke("classify", "--tri", path("double_tet.json"),
                           "--quads", str(quads))
     assert code == 1
-    assert "inadmissible" in err
+    assert err == "error: inadmissible quadrilateral coordinates in %s\n" % quads
 
 
 def test_classify_json_payload():
@@ -410,3 +414,24 @@ def test_undecodable_files_exit_66(tmp_path):
         assert (code, out) == (66, ""), argv
         assert_one_error_line(err)
         assert "cannot read" in err
+
+
+def test_module_entry_point_exits_with_the_code_and_bytes_of_run(tmp_path):
+    single = tmp_path / "q.json"
+    single.write_text(json.dumps({"quads": [[1, 0, 0], [0, 0, 0]]}))
+    cases = [
+        (["validate", "--tri", path("double_tet.json")], 0),
+        (["classify", "--tri", path("fig8.json"),
+          "--quads", path("fig8_spun_quads.json")], 2),
+        (["classify", "--tri", path("double_tet.json"),
+          "--quads", str(single)], 3),
+        (["frobnicate"], 64),
+    ]
+    src = os.path.dirname(os.path.dirname(quadlift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, code in cases:
+        proc = subprocess.run([sys.executable, "-m", "quadlift"] + argv,
+                              capture_output=True, env=env, check=False)
+        _, out, err = invoke(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.encode())

@@ -16,11 +16,12 @@ import pytest
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary, boundary_matrix
-from quadlift.solver import boundary_test, quad_boundary, quad_chain
+from quadlift.solver import quad_boundary, quad_chain
 from conftest import load_doc, load_tri
 from oracles import (boundary_of, disc_boundary, flip_edge,
-                     link_boundary_matrix, smith_lift, solve_integer,
-                     suspended_surface)
+                     link_boundary_matrix, link_potential, random_isomorphism,
+                     relabel_doc, smith_lift, solve_integer, suspended_surface,
+                     translate_quad_vector)
 import generators as gen
 
 ARC_TABLE_DOCS = (
@@ -110,6 +111,21 @@ def test_fig8_covers(n):
     assert {NORMAL, SPUN_NORMAL} <= seen
 
 
+@pytest.mark.parametrize("doc, cover", [
+    (gen.stacked(random.Random(9), 9), None), (gen.fig8_cover(5), 5)],
+    ids=["stacked-9", "cover-5"])
+def test_relabelled_copies(doc, cover):
+    # another labelling grows the forest in another breadth-first order
+    tet_perm, vertex_perms = random_isomorphism(doc["tets"], random.Random(7))
+    tri = parse_triangulation(relabel_doc(doc, tet_perm, vertex_perms))
+    queries = generated_queries(tri, random.Random(4))
+    if cover is not None:
+        queries += [translate_quad_vector(gen.fig8_spun(cover, m), tet_perm,
+                                          vertex_perms) for m in (1, 2)]
+    seen = assert_same_as_smith(tri, queries)
+    assert NORMAL in seen and (cover is None or SPUN_NORMAL in seen)
+
+
 def test_cover_with_a_sphere_vertex():
     tri = parse_triangulation(gen.one_four_move(gen.fig8_cover(3), 1))
     assert sorted(link.genus for link in tri.links) == [0, 1]
@@ -167,7 +183,7 @@ def test_boundary_test_agrees_with_smith_on_non_cycles_too(name):
         b = quad_boundary(tri, q)
         for v, a in enumerate(matrices):
             rhs = [-b[arc] for arc in tri.links[v].arcs]
-            ok, w, reason = boundary_test(tri, b, v)
+            ok, w, reason = link_potential(tri, b, v)
             assert ok == solve_integer(a, rhs).ok
             if ok:
                 assert a.mul_vec(w) == rhs
@@ -197,5 +213,5 @@ def test_every_root_gives_the_same_verdict_on_spun_data():
     for m in (1, 2, 3):
         for root in range(len(link.triangles)):
             b = quad_boundary(tri, gen.fig8_spun(3, m))
-            assert boundary_test(tri, b, 0, root=root) == (
+            assert link_potential(tri, b, 0, root=root) == (
                 False, None, "no rational solution")

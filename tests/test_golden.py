@@ -139,6 +139,15 @@ def _digest(value):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def local_tree(link):
+    """``link.tree`` with arcs and discs as positions in ``link.arcs`` and
+    ``link.triangles``: the form the trees had when the digests were made."""
+    arc_at = {arc: k for k, arc in enumerate(link.arcs)}
+    disc_at = {d: k for k, d in enumerate(link.triangles)}
+    return tuple([(arc_at[arc], disc_at[d], disc_at[nb], s)
+                  for arc, d, nb, s in entries] for entries in link.tree)
+
+
 def parse_state(tri):
     """Every field and accessor result that construction decides, as JSON."""
     t = tri.tet_count
@@ -167,7 +176,7 @@ def parse_state(tri):
         "arc_discs": tri.arc_discs,
         "links": [(link.vertex, link.triangles, link.arcs, link.cells,
                    sorted(link.arc_cells.items()), link.euler_characteristic,
-                   link.genus, link.is_sphere, link.tree)
+                   link.genus, link.is_sphere, local_tree(link))
                   for link in tri.links],
     }
 

@@ -6,15 +6,15 @@ from quadlift import parse_triangulation
 from quadlift.chains import apply_boundary
 from quadlift.intlinalg import IntMatrix, smith_normal_form
 from quadlift.links import build_all_links
-from quadlift.solver import boundary_test, quad_boundary
-from oracles import (arc_of, build_link, disc_boundary, fundamental_class,
-                     kernel_basis, link_boundary_matrix,
-                     link_boundary_restriction_check, projection,
-                     suspended_surface)
+from quadlift.solver import quad_boundary
+from oracles import (arc_of, build_link, disc_boundary, dual_tree,
+                     fundamental_class, kernel_basis, link_boundary_matrix,
+                     link_boundary_restriction_check, link_potential,
+                     projection, suspended_surface)
 import generators as gen
 
 LINK_FIELDS = ("vertex", "triangles", "arcs", "cells", "arc_cells",
-               "euler_characteristic", "genus", "is_sphere")
+               "euler_characteristic", "genus", "is_sphere", "tree")
 
 
 def test_double_tet_links_are_two_triangle_spheres(double_tet):
@@ -88,10 +88,11 @@ def small_vectors(tri, rng, count):
 
 
 def assert_tree_invariants(tri):
-    """Every link's stored tree is a breadth-first spanning tree of its dual
-    graph that uses each arc once, joins the two link triangles whose faces
-    hold the arc, with the signs of the boundary columns, and
-    ``boundary_test`` on it agrees with a tree rebuilt at the same root."""
+    """Every link's stored tree is the breadth-first spanning tree of its
+    dual graph that the per-link oracle grows from the last triangle.  It
+    uses each arc once, joins the two link triangles whose faces hold the
+    arc, with the signs of the boundary columns, and ``boundary_test`` on it
+    agrees with the oracle's tree at the same root."""
     rng = random.Random(tri.tet_count)
     queries = (gen.edge_link_vectors(tri) + [[0] * tri.quad_count]
                + small_vectors(tri, rng, 8))
@@ -103,26 +104,25 @@ def assert_tree_invariants(tri):
                 if f != corner:
                     sides[arc_of(tri, tet, f, corner)].append(disc)
         last = len(link.triangles) - 1
+        assert link.tree == dual_tree(link, last, tri.arc_discs)
         steps, closing = link.tree
         assert len(steps) == last
-        reached = {last}
+        reached = {link.triangles[last]}
         for _, d, nb, _ in steps:
             assert d in reached and nb not in reached
             reached.add(nb)
-        assert reached == set(range(len(link.triangles)))
+        assert reached == set(link.triangles)
         entries = steps + closing
-        assert sorted(k for k, _, _, _ in entries) == list(range(len(link.arcs)))
-        for k, d, nb, s in entries:
-            arc = link.arcs[k]
-            assert sorted((link.triangles[d], link.triangles[nb])) == sorted(
-                sides[arc])
-            coeff = dict(disc_boundary(tri, link.triangles[d])).get(arc, 0)
+        assert sorted(arc for arc, _, _, _ in entries) == list(link.arcs)
+        for arc, d, nb, s in entries:
+            assert sorted((d, nb)) == sorted(sides[arc])
+            coeff = dict(disc_boundary(tri, d)).get(arc, 0)
             assert s == coeff
             assert (coeff == 0) == (d == nb)
         for q in queries:
             b = quad_boundary(tri, q)
-            assert boundary_test(tri, b, v) == boundary_test(tri, b, v,
-                                                             root=last)
+            assert link_potential(tri, b, v) == link_potential(tri, b, v,
+                                                               root=last)
 
 
 def test_tree_invariants_on_fixtures(all_fixtures):

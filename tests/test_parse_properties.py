@@ -22,7 +22,7 @@ from quadlift.triangulation import FACE_CORNERS
 
 import generators as gen
 from conftest import load_doc
-from oracles import link_invariants, suspended_surface
+from oracles import dual_tree, link_invariants, suspended_surface
 
 BASES = tuple(
     [load_doc(name + ".json") for name in ("double_tet", "fig8", "three_tet",
@@ -120,15 +120,16 @@ def assert_proved_invariants(doc, tri):
     for vc, link in zip(tri.vertex_classes, tri.links):
         assert chis[frozenset(vc.members)] == link.euler_characteristic
         assert link.euler_characteristic % 2 == 0
+        assert link.tree == dual_tree(link, len(link.triangles) - 1,
+                                      tri.arc_discs)
         steps, closing = link.tree
-        n = len(link.triangles)
-        assert len(steps) == n - 1
-        assert {nb for _, _, nb, _ in steps} | {n - 1} == set(range(n))
-        assert sorted(k for k, *_ in steps + closing) == list(
-            range(len(link.arcs)))
-        for k, d, nb, _ in steps:
-            _, tri_a, tri_b, _, _ = tri.arc_discs[link.arcs[k]]
-            assert {tri_a, tri_b} == {link.triangles[d], link.triangles[nb]}
+        assert len(steps) == len(link.triangles) - 1
+        assert {nb for _, _, nb, _ in steps} | {link.triangles[-1]} == set(
+            link.triangles)
+        assert sorted(arc for arc, *_ in steps + closing) == list(link.arcs)
+        for arc, d, nb, _ in steps:
+            _, tri_a, tri_b, _, _ = tri.arc_discs[arc]
+            assert {tri_a, tri_b} == {d, nb}
 
 
 def check(doc):

@@ -5,14 +5,13 @@ import pytest
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, verify_normal
 from quadlift.chains import apply_boundary
-from quadlift.solver import (boundary_test, check_admissible,
-                             load_normal_coords, load_quads, quad_boundary,
+from quadlift.solver import (check_admissible, load_normal_coords, load_quads, quad_boundary,
                              quad_chain, quad_part)
 from conftest import load_doc
 from oracles import (arc_of, arc_sign, check_admissible_loop,
                      check_witness_independence, cycle_test,
                      enumerate_matching_solutions, link_boundary_matrix,
-                     partial_boundary, quad_cut_corner)
+                     link_potential, partial_boundary, quad_cut_corner)
 
 SPUN_Q = [0, 0, 1, 0, 0, 2]  # frozen spun-normal fixture on fig8
 
@@ -168,7 +167,7 @@ def test_sphere_links_cycle_implies_boundary(sphere_fixtures):
             if passes:
                 b = quad_boundary(tri, q)
                 for v in range(len(tri.links)):
-                    ok, witness, _ = boundary_test(tri, b, v)
+                    ok, witness, _ = link_potential(tri, b, v)
                     assert ok
                     link = tri.links[v]
                     rhs = [-c for c in partial_boundary(tri, q, v)]
@@ -181,14 +180,14 @@ def test_sphere_links_cycle_implies_boundary(sphere_fixtures):
 def test_boundary_test_zero_witness(double_tet):
     b = quad_boundary(double_tet, [0] * 6)
     for v in range(4):
-        ok, witness, reason = boundary_test(double_tet, b, v)
+        ok, witness, reason = link_potential(double_tet, b, v)
         assert ok and reason is None
         assert witness == [0] * len(double_tet.links[v].triangles)
 
 
 def test_fig8_spun_fixture(fig8):
     assert all(cycle_test(fig8, SPUN_Q, v) for v in range(1))
-    ok, witness, reason = boundary_test(fig8, quad_boundary(fig8, SPUN_Q), 0)
+    ok, witness, reason = link_potential(fig8, quad_boundary(fig8, SPUN_Q), 0)
     assert not ok and witness is None
     assert reason == "no rational solution"
     result = lift(fig8, SPUN_Q)
