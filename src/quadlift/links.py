@@ -1,18 +1,17 @@
 """Vertex-linking surfaces and their simplicial chain complexes.
 
-The link of a vertex class v is the closed surface swept out by the normal
-triangles cutting off v, one per incidence of v in a tetrahedron.  Its 1-cells
-are the normal arcs linking v and its 0-cells sit on the ends of the edge
-classes incident to v.  On a valid triangulation every link is connected and
-orientable (see :func:`build_all_links`), and its homeomorphism type is
-determined by the Euler characteristic.  The dual graphs of all links
-(triangles joined across arcs) form one graph on the triangle discs whose
-components are the links; the link pass grows one breadth-first forest over
-it, and each link keeps its tree for ``solver.boundary_test`` to walk.
+The normal triangles, joined across the normal arcs, form one graph on the
+triangle discs, and its components are the vertex classes.  The link of a
+class v is the closed surface its triangles sweep out; its 1-cells are the
+arcs linking v and its 0-cells sit on the ends of the edge classes incident
+to v.  The link pass grows one breadth-first forest over the graph, which
+numbers the classes and gives each link the tree ``solver.boundary_test``
+walks.  Every link is connected by definition and orientable (see
+:func:`build_all_links`), so the Euler characteristic fixes its type.
 """
 
-from .triangulation import (ARC_EDGES, FACE_CORNERS, PERMS, perm_sign,
-                            quad_type_through)
+from .triangulation import (ARC_EDGES, FACE_CORNERS, LOCAL_EDGES, PERMS,
+                            VertexClass, perm_sign, quad_type_through)
 
 
 def _arc_rows(f, sigma):
@@ -74,19 +73,21 @@ class VertexLink:
 
 
 def build_all_links(tri):
-    """Build the link of every vertex class in one pass over the face, edge
-    and vertex classes.
+    """Decide the vertex classes and build the link of each, in one pass
+    over the face classes and one breadth-first forest over the discs.
 
-    Every link is a closed connected orientable surface, so none is
-    checked.  Connected: the arc of face f of tetrahedron i linking corner v
-    joins the triangles (i, v) and (j, sigma[v]) of the face's gluing sigma,
-    the relation whose classes are the vertex classes, so the components of
-    the dual graph are the links.  Closed: each arc has a triangle on either
-    side, and the triangles round a 0-cell (edge class, end) form one disc,
-    as the edge class is one cycle that never meets itself reversed (see
-    ``Triangulation._compute_edge_classes``).  Orientable, so of even Euler
-    characteristic: the two triangles on an arc give it opposite signs
-    (``s`` and ``-s`` below), as every gluing reverses the face orientation.
+    The arc of face f of tetrahedron i linking corner v joins the triangles
+    (i, v) and (j, sigma[v]) of the face's gluing sigma.  A vertex class is
+    a component of the graph these arcs make, numbered by its first slot
+    (``tri.vertex_classes`` and ``tri.vertex_class_at``), and its link is
+    the component, so it is connected by definition.  Every link is also a
+    closed orientable surface, which is not checked.  Closed: each arc has a
+    triangle on either side, and the triangles round a 0-cell (edge class,
+    end) form one disc, as the edge class is one cycle that never meets
+    itself reversed (see ``Triangulation._compute_edge_classes``).
+    Orientable, so of even Euler characteristic: the two triangles on an
+    arc give it opposite signs (``s`` and ``-s`` below), as every gluing
+    reverses the face orientation.
 
     The same pass decides which discs meet each arc, and with what sign, for
     the whole triangulation.  It stores ``tri.arc_discs[arc] = (s, tri_a,
@@ -97,21 +98,23 @@ def build_all_links(tri):
     to another face of its own tetrahedron the two triangles can be one
     disc, whose terms cancel; the two quads are always different types.
 
-    Each link's tree is grown breadth first from its last triangle, through
-    each disc's arcs in index order; an arc whose two sides lie on one disc
-    is no edge of the graph and goes first into the closing arcs.  The arcs
-    of the discs sit in two flat lists: a list per disc (7t lists) made the
-    garbage collector run a third more often in a parse-and-lift loop.
+    The forest visits the triangles in descending order, so each tree grows
+    breadth first from its link's last triangle, through each disc's arcs
+    in index order; an arc whose two sides lie on one disc is no edge of
+    the graph and goes first into the closing arcs.  The arcs of the discs
+    sit in two flat lists: a list per disc (7t lists) made the garbage
+    collector run a third more often in a parse-and-lift loop.
     """
-    count = len(tri.vertex_classes)
-    vertex_class = tri.vertex_class_at
     edge_class, edge_dir = tri.edge_class_at, tri.edge_direction_at
     orientation, perm = tri.tet_orientation, tri._perm
+    # first[e]: the first member 6i+k of edge class e, which numbers them
+    first = []
+    for x, e in enumerate(edge_class):
+        if e == len(first):
+            first.append(x)
     # one tuple per 0-cell (edge class, end), shared by every arc there
-    cell = [(e, end) for e in range(len(tri.edge_classes)) for end in (0, 1)]
-    arcs = [[] for _ in range(count)]
-    arc_cells = [{} for _ in range(count)]
-    closings = [[] for _ in range(count)]
+    cell = [(e, end) for e in range(len(first)) for end in (0, 1)]
+    ends = []   # ends[arc]: the (tail, head) 0-cells of the oriented arc
     # sides[3d:3d + fill[d]]: the arcs of disc d, in index order
     sides = [0] * (21 * tri.tet_count)
     fill = [0] * (7 * tri.tet_count)
@@ -124,9 +127,7 @@ def build_all_links(tri):
         o = orientation[i]
         for (v, image, quad_a, quad_b, k, s, kx, lx, ky, ly
              ) in _ARC_ROWS[24 * (x & 3) + perm[x]]:
-            vertex = vertex_class[4 * i + v]
             arc = len(arc_discs)
-            arcs[vertex].append(arc)
             kx += 6 * i
             ky += 6 * i
             # the cell on edge {v, x} is its tail (end 0) when v is the tail,
@@ -134,34 +135,26 @@ def build_all_links(tri):
             cell_x = cell[2 * edge_class[kx] + ((1 - edge_dir[kx] * lx) >> 1)]
             cell_y = cell[2 * edge_class[ky] + ((1 - edge_dir[ky] * ly) >> 1)]
             if edge_dir[6 * i + k] == 1:
-                arc_cells[vertex][arc] = (cell_x, cell_y)
+                ends.append((cell_x, cell_y))
             else:
-                arc_cells[vertex][arc] = (cell_y, cell_x)
+                ends.append((cell_y, cell_x))
                 s = -s
             s *= o
             d, nb = 7 * i + v, 7 * j + image
             arc_discs.append((s, d, nb, 3 * i + quad_a, 3 * j + quad_b))
-            if d == nb:
-                closings[vertex].append((arc, d, d, 0))
-            else:
+            if d != nb:
                 sides[3 * d + fill[d]] = sides[3 * nb + fill[nb]] = arc
                 fill[d] += 1
                 fill[nb] += 1
-    tri.arc_discs = tuple(arc_discs)
-    cells = [[] for _ in range(count)]
-    for e in tri.edge_classes:
-        cells[e.tail_vertex].append(cell[2 * e.index])
-        cells[e.head_vertex].append(cell[2 * e.index + 1])
+    tri.arc_discs = arc_discs = tuple(arc_discs)
     used = [False] * len(arc_discs)
     seen = [False] * len(fill)
-    links = []
-    for vc in tri.vertex_classes:
-        # slots (disc 7i+v of slot 4i+v) and edge classes come in index
-        # order, so triangles and cells are sorted
-        triangles = tuple(x + 3 * (x >> 2) for x in vc.slots)
-        steps, closing = [], closings[vc.index]
-        root = triangles[-1]
+    trees = []
+    for root in range(len(fill) - 1, -1, -1):
+        if root % 7 > 3 or seen[root]:
+            continue
         seen[root] = True
+        steps, closing = [], []
         queue = [root]
         for d in queue:    # the queue grows while it is read
             for arc in sides[3 * d:3 * d + fill[d]]:
@@ -177,10 +170,39 @@ def build_all_links(tri):
                     seen[nb] = True
                     steps.append((arc, d, nb, s))
                     queue.append(nb)
-        links.append(VertexLink(vc.index, triangles, tuple(arcs[vc.index]),
-                                tuple(cells[vc.index]), arc_cells[vc.index],
-                                (steps, closing)))
-    return tuple(links)
+        queue.sort()
+        trees.append((queue, steps, closing))
+    trees.sort()   # by first triangle, which no two trees share
+    # disc 7i+v is the triangle of slot 4i+v
+    vertex_class = [0] * (4 * tri.tet_count)
+    classes = []
+    for c, (triangles, _, _) in enumerate(trees):
+        slots = tuple([d - 3 * (d // 7) for d in triangles])
+        for x in slots:
+            vertex_class[x] = c
+        classes.append(VertexClass(c, slots))
+    tri.vertex_classes = tuple(classes)
+    tri.vertex_class_at = vertex_class = tuple(vertex_class)
+    arcs = [[] for _ in trees]
+    arc_cells = [{} for _ in trees]
+    closings = [[] for _ in trees]
+    for arc, (_, d, nb, _, _) in enumerate(arc_discs):
+        c = vertex_class[d - 3 * (d // 7)]
+        arcs[c].append(arc)
+        arc_cells[c][arc] = ends[arc]
+        if d == nb:
+            closings[c].append((arc, d, d, 0))
+    # edge class e runs from a to b on its first member 6i+k: the ends of
+    # LOCAL_EDGES[k], reversed where its direction there is -1
+    cells = [[] for _ in trees]
+    for e, x in enumerate(first):
+        a, b = LOCAL_EDGES[x % 6][::edge_dir[x]]
+        cells[vertex_class[x // 6 * 4 + a]].append(cell[2 * e])
+        cells[vertex_class[x // 6 * 4 + b]].append(cell[2 * e + 1])
+    return tuple(VertexLink(c, tuple(triangles), tuple(arcs[c]),
+                            tuple(cells[c]), arc_cells[c],
+                            (steps, closings[c] + closing))
+                 for c, (triangles, steps, closing) in enumerate(trees))
 
 
 # Not used by the package.  perfbench/test_bench.py's tracer test expects

@@ -22,9 +22,9 @@ Conventions used throughout the package:
   lexicographically least local representative.
 
 An orientable closed complex is a manifold away from its vertices, and the
-link of every vertex class is a closed connected orientable surface (a sphere
-exactly at manifold points): see ``Triangulation._compute_edge_classes`` and
-``links.build_all_links`` for the proofs.
+link of every vertex class is a closed orientable surface (a sphere exactly at
+manifold points), connected as the classes are its components: see
+``Triangulation._compute_edge_classes`` and ``links.build_all_links``.
 """
 
 import json
@@ -229,11 +229,11 @@ class Triangulation:
 
     Instances are immutable once constructed and safe to share between
     threads.  Construction checks the gluings and the orientability, and
-    computes everything else: the face, edge and vertex classes
-    (``face_classes`` builds its objects on first use), orientation signs,
-    edge directions, and the vertex links (closed connected orientable
-    surfaces) with the discs meeting each arc (``arc_discs``, see
-    ``links.build_all_links``).
+    computes everything else: the face and edge classes (``face_classes``
+    builds its objects on first use), orientation signs, edge directions,
+    and, in ``links.build_all_links``, the vertex classes with their links
+    and the discs meeting each arc (``arc_discs``).  The ``EdgeClass``
+    objects, which name the vertex classes at their ends, come last.
     """
 
     def __init__(self, doc):
@@ -244,12 +244,17 @@ class Triangulation:
                 raise TriangulationError("malformed document: %s" % exc) from exc
         self._load(doc)
         self._compute_face_classes()
-        self._compute_vertex_classes()
         self._compute_orientations()
-        self._compute_edge_classes()
+        members = self._compute_edge_classes()
         self._cache = {}
         from . import links   # which imports this module
-        self.links = links.build_all_links(self)
+        self.links = links.build_all_links(self)   # and the vertex classes
+        vertex_class = self.vertex_class_at
+        self.edge_classes = tuple(
+            EdgeClass(e, tuple(group), a, b, vertex_class[4 * i + a],
+                      vertex_class[4 * i + b])
+            for e, group in enumerate(members)
+            for i, a, b in [_edge_name(group[0])])
 
     # ------------------------------------------------------------------
     # construction
@@ -348,46 +353,12 @@ class Triangulation:
                 for c, (x, y) in enumerate(pairs))
         return classes
 
-    def _compute_vertex_classes(self):
-        # Union over representative faces: the larger class relabels the
-        # smaller one, walking it as a circular list through nxt, and the
-        # two lists are spliced.  Classes are numbered in the order of
-        # their first vertex slot.
-        partner, perm = self._partner, self._perm
-        n = 4 * self.tet_count
-        root, nxt = list(range(n)), list(range(n))
-        size = [1] * n
-        for x, y in enumerate(partner):
-            if y < x:
-                continue
-            i4, j4 = x & ~3, y & ~3
-            sigma = PERMS[perm[x]]
-            for v in FACE_CORNERS[x & 3]:
-                ra, rb = root[i4 + v], root[j4 + sigma[v]]
-                if ra != rb:
-                    if size[ra] < size[rb]:
-                        ra, rb = rb, ra
-                    z = rb
-                    while root[z] != ra:
-                        root[z] = ra
-                        z = nxt[z]
-                    nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
-                    size[ra] += size[rb]
-        label = [-1] * n
-        members = []
-        for x, r in enumerate(root):
-            if label[r] < 0:
-                label[r] = len(members)
-                members.append([])
-            members[label[r]].append(x)
-        self.vertex_classes = tuple(VertexClass(c, tuple(group))
-                                    for c, group in enumerate(members))
-        self.vertex_class_at = tuple([label[r] for r in root])
-
     def _compute_edge_classes(self):
-        """Signed union over representative faces, joined as for vertex
-        classes, with value(x) = sign[x] * value(root[x]); the partner side
-        of a face imposes the same relations.
+        """Signed union over representative faces, with value(x) = sign[x]
+        * value(root[x]); the partner side of a face imposes the same
+        relations.  The larger class relabels the smaller, a circular list
+        through nxt, and the lists are spliced.  Returns each class's slots,
+        ascending; classes are numbered by their first slot.
 
         No class meets itself reversed, so no union closes a conflict.  Its
         members form one cycle round the edge, and a walk round the cycle
@@ -423,7 +394,6 @@ class Triangulation:
 
         # A class runs min->max on its first member; first[e] is that
         # direction relative to the root's.
-        vertex_class = self.vertex_class_at
         label = [-1] * n
         first = []
         members = []
@@ -433,16 +403,10 @@ class Triangulation:
                 first.append(sign[x])
                 members.append([])
             members[label[r]].append(x)
-        classes = []
-        for e, group in enumerate(members):
-            i, tail, head = _edge_name(group[0])
-            classes.append(EdgeClass(e, tuple(group), tail, head,
-                                     vertex_class[4 * i + tail],
-                                     vertex_class[4 * i + head]))
-        self.edge_classes = tuple(classes)
         self.edge_class_at = edge_class = tuple([label[r] for r in root])
         self.edge_direction_at = tuple([s * first[e] for s, e
                                         in zip(sign, edge_class)])
+        return members
 
     def _compute_orientations(self):
         t = self.tet_count
@@ -501,7 +465,7 @@ class Triangulation:
     def __repr__(self):
         return "Triangulation(%d tets, %d vertices, %d edges, %d faces)" % (
             self.tet_count, len(self.vertex_classes), len(self.edge_classes),
-            len(self.face_classes))
+            2 * self.tet_count)
 
 
 def parse_triangulation(source):

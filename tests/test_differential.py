@@ -13,6 +13,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary, boundary_matrix
@@ -21,6 +23,7 @@ from conftest import load_doc, load_tri
 from oracles import (boundary_of, disc_boundary, flip_edge,
                      link_boundary_matrix, link_potential, random_isomorphism,
                      relabel_doc, smith_lift, solve_integer, suspended_surface,
+                     translate_disc, translate_disc_vector,
                      translate_quad_vector)
 import generators as gen
 
@@ -215,3 +218,59 @@ def test_every_root_gives_the_same_verdict_on_spun_data():
             b = quad_boundary(tri, gen.fig8_spun(3, m))
             assert link_potential(tri, b, 0, root=root) == (
                 False, None, "no rational solution")
+
+
+@st.composite
+def relabelled_pair(draw):
+    """(document, cover or None, an isomorphism of it): a stacked sphere of
+    at most 12 moves, a fig8 cover of at most 4 folds or the suspended genus
+    2 surface, with or without one 1-4 move."""
+    kind = draw(st.sampled_from(("stacked", "cover", "suspended")))
+    cover = None
+    if kind == "stacked":
+        doc = gen.stacked(random.Random(draw(st.integers(0, 99))),
+                          draw(st.integers(0, 12)))
+    elif kind == "cover":
+        cover = draw(st.integers(1, 4))
+        doc = gen.fig8_cover(cover)
+    else:
+        doc = suspended_surface(2)
+    if draw(st.booleans()):
+        doc = gen.one_four_move(doc, draw(st.integers(0, doc["tets"] - 1)))
+    seed = draw(st.integers(0, 99))
+    return doc, cover, random_isomorphism(doc["tets"], random.Random(seed))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(relabelled_pair(), st.integers(0, 99))
+def test_lift_is_smith_lift_and_commutes_with_relabelling(pair, seed):
+    # the relabelled copy numbers its vertex classes, and grows its forest,
+    # in another order; the answers must only move with the labels
+    doc, cover, (tet_perm, vertex_perms) = pair
+    tri = parse_triangulation(doc)
+    other = parse_triangulation(relabel_doc(doc, tet_perm, vertex_perms))
+    queries = generated_queries(tri, random.Random(seed))
+    if cover is not None:
+        pad = [0] * (tri.quad_count - 6 * cover)
+        queries += [gen.fig8_spun(cover, m) + pad for m in (1, 2)]
+    assert {frozenset(translate_disc(d, tet_perm, vertex_perms)
+                      for d in link.triangles) for link in tri.links} == {
+        frozenset(link.triangles) for link in other.links}
+    decompositions, other_decompositions = {}, {}
+    for q in queries:
+        result = lift(tri, q)
+        assert result == smith_lift(tri, q, decompositions), q
+        moved = translate_quad_vector(q, tet_perm, vertex_perms)
+        image = lift(other, moved)
+        assert image == smith_lift(other, moved, other_decompositions), q
+        assert image.classification == result.classification
+        if result.canonical_lift is None:
+            continue
+        assert image.canonical_lift == translate_disc_vector(
+            result.canonical_lift, tet_perm, vertex_perms)
+        # a shift is read at the link's last triangle, which the relabelling
+        # moves, so the shifts themselves need not correspond
+        for answer, labelled in ((result, tri), (image, other)):
+            assert answer.per_vertex_shift == {
+                link.vertex: -answer.canonical_lift[link.triangles[-1]]
+                for link in labelled.links}

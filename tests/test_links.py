@@ -7,7 +7,7 @@ from quadlift.chains import apply_boundary
 from quadlift.intlinalg import IntMatrix, smith_normal_form
 from quadlift.links import build_all_links
 from quadlift.solver import quad_boundary
-from oracles import (arc_of, build_link, disc_boundary, dual_tree,
+from oracles import (arc_of, build_link, disc_boundary, dual_tree, flip_edge,
                      fundamental_class, kernel_basis, link_boundary_matrix,
                      link_boundary_restriction_check, link_potential,
                      projection, suspended_surface)
@@ -58,6 +58,9 @@ def assert_links_match_per_vertex_builder(tri):
 def test_one_pass_links_match_per_vertex_builder_on_fixtures(all_fixtures):
     for tri in all_fixtures.values():
         assert_links_match_per_vertex_builder(tri)
+        # the link pass reads each edge class's ends from its direction
+        for e in range(len(tri.edge_classes)):
+            assert_links_match_per_vertex_builder(flip_edge(tri, e))
 
 
 @pytest.mark.parametrize("moves", [0, 1, 4, 13, 40])

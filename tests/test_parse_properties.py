@@ -6,7 +6,8 @@ properties that construction proves instead of checking (see
 ``Triangulation._compute_edge_classes`` and ``links.build_all_links``): no
 edge class meets itself reversed, every link has even Euler characteristic,
 and every link's dual tree spans it.  The oracle computes the first two
-from the raw document.
+from the raw document, and the vertex classes by orbit closure of its corner
+gluings, which the package never reads: the link pass decides them.
 """
 
 import copy
@@ -114,9 +115,27 @@ def small_gluing(draw):
     return {"tets": t, "gluings": gluings}
 
 
+def assert_vertex_classes(tri, classes):
+    """The vertex classes are ``classes``, the orbit closure of the raw
+    corner gluings, numbered by first slot, with their links' triangles."""
+    assert {frozenset(vc.members) for vc in tri.vertex_classes} == classes
+    assert len(tri.vertex_classes) == len(classes)
+    firsts = [vc.slots[0] for vc in tri.vertex_classes]
+    assert firsts == sorted(set(firsts))
+    at = [None] * (4 * tri.tet_count)
+    for c, (vc, link) in enumerate(zip(tri.vertex_classes, tri.links)):
+        assert vc.index == link.vertex == c
+        assert list(vc.slots) == sorted(vc.slots)
+        for x in vc.slots:
+            at[x] = c
+        assert link.triangles == tuple(7 * i + v for i, v in vc.members)
+    assert tuple(at) == tri.vertex_class_at
+
+
 def assert_proved_invariants(doc, tri):
     reversed_edges, chis = link_invariants(doc)
     assert reversed_edges == []
+    assert_vertex_classes(tri, set(chis))
     for vc, link in zip(tri.vertex_classes, tri.links):
         assert chis[frozenset(vc.members)] == link.euler_characteristic
         assert link.euler_characteristic % 2 == 0
