@@ -5,10 +5,12 @@ triangle discs, and its components are the vertex classes.  The link of a
 class v is the closed surface its triangles sweep out; its 1-cells are the
 arcs linking v and its 0-cells sit on the ends of the edge classes incident
 to v.  The link pass grows one breadth-first forest over the graph, which
-numbers the classes and gives each link the tree ``solver.boundary_test``
-walks.  Every link is connected by definition and orientable (see
+numbers the classes and is what ``solver.boundary_test`` walks, all links
+in one pass.  Every link is connected by definition and orientable (see
 :func:`build_all_links`), so the Euler characteristic fixes its type.
 """
+
+from operator import itemgetter
 
 from .triangulation import (ARC_EDGES, FACE_CORNERS, LOCAL_EDGES, PERMS,
                             VertexClass, perm_sign, quad_type_through)
@@ -40,22 +42,26 @@ class VertexLink:
     * ``arcs``: global arc indices of its 1-cells, sorted.
     * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head.
     * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc.
-    * ``tree``: (steps, closing), the link's tree of the dual forest of
-      :func:`build_all_links`, rooted at the last triangle.  A step (arc,
-      d, nb, s) crosses a tree arc from triangle disc d to disc nb, where s
-      is the arc's coefficient in the boundary of d; the steps reach every
-      triangle.  A closing entry is an arc outside the tree in the same
-      form; an arc whose two sides lie on one triangle is closing with
-      d = nb and s = 0.  Arcs and discs are global indices.
+    * ``gather(w)``: the tuple of a disc-indexed ``w`` at ``triangles``.
+    * ``tree``: (steps, closing), the slices ``span`` of the dual forest
+      ``forest`` of :func:`build_all_links` that are the link's tree,
+      rooted at the last triangle.  A step (arc, d, nb, s) crosses a tree
+      arc from triangle disc d to disc nb, where s is the arc's coefficient
+      in the boundary of d; the steps reach every triangle.  A closing
+      entry is an arc outside the tree in the same form; an arc whose two
+      sides lie on one triangle is closing with d = nb and s = 0.  Arcs and
+      discs are global indices.
 
     The two link triangles along an arc, and their signs on it, are the
     arc's entry of the triangulation's ``arc_discs``.
     """
 
     __slots__ = ("vertex", "triangles", "arcs", "cells", "arc_cells",
-                 "euler_characteristic", "genus", "is_sphere", "tree")
+                 "euler_characteristic", "genus", "is_sphere", "gather",
+                 "forest", "span")
 
-    def __init__(self, vertex, triangles, arcs, cells, arc_cells, tree):
+    def __init__(self, vertex, triangles, arcs, cells, arc_cells, forest,
+                 span):
         self.vertex = vertex
         self.triangles = triangles
         self.arcs = arcs
@@ -65,7 +71,14 @@ class VertexLink:
         self.euler_characteristic = chi
         self.genus = (2 - chi) // 2
         self.is_sphere = chi == 2
-        self.tree = tree
+        self.gather = itemgetter(*triangles)
+        self.forest = forest
+        self.span = span
+
+    @property
+    def tree(self):
+        (steps, closing), (start, end, first, last) = self.forest, self.span
+        return steps[start:end], closing[first:last]
 
     def __repr__(self):
         return "VertexLink(vertex %d, %d triangles, chi %d)" % (
@@ -89,9 +102,10 @@ def build_all_links(tri):
     arc give it opposite signs (``s`` and ``-s`` below), as every gluing
     reverses the face orientation.
 
-    The same pass decides which discs meet each arc, and with what sign, for
-    the whole triangulation.  It stores ``tri.arc_discs[arc] = (s, tri_a,
-    tri_b, quad_a, quad_b)``: the triangle disc ``tri_a`` and the quad
+    The same pass decides which discs and 0-cells meet each arc, and with
+    what sign, for the whole triangulation.  It stores ``tri.arc_ends[arc]
+    = (tail, head)`` and ``tri.arc_discs[arc] = (s, tri_a, tri_b, quad_a,
+    quad_b)``: the triangle disc ``tri_a`` and the quad
     ``quad_a`` (an index 3i+k-1 of the quad vector) of the representative
     side of the arc's face have coefficient ``s`` on the arc, and those of
     the other side, ``tri_b`` and ``quad_b``, have ``-s``.  On a face glued
@@ -101,9 +115,12 @@ def build_all_links(tri):
     The forest visits the triangles in descending order, so each tree grows
     breadth first from its link's last triangle, through each disc's arcs
     in index order; an arc whose two sides lie on one disc is no edge of
-    the graph and goes first into the closing arcs.  The arcs of the discs
-    sit in two flat lists: a list per disc (7t lists) made the garbage
-    collector run a third more often in a parse-and-lift loop.
+    the graph and goes first into the closing arcs.  ``tri.forest`` is
+    (steps, closing): the steps of every tree in the order they grow, and
+    the closing arcs link after link; each link's tree is a slice of each.
+    The arcs of the discs sit in two flat lists: a list per disc (7t lists)
+    made the garbage collector run a third more often in a parse-and-lift
+    loop.
     """
     edge_class, edge_dir = tri.edge_class_at, tri.edge_direction_at
     orientation, perm = tri.tet_orientation, tri._perm
@@ -114,7 +131,7 @@ def build_all_links(tri):
             first.append(x)
     # one tuple per 0-cell (edge class, end), shared by every arc there
     cell = [(e, end) for e in range(len(first)) for end in (0, 1)]
-    ends = []   # ends[arc]: the (tail, head) 0-cells of the oriented arc
+    tri.arc_ends = ends = []   # the (tail, head) 0-cells of each arc
     # sides[3d:3d + fill[d]]: the arcs of disc d, in index order
     sides = [0] * (21 * tri.tet_count)
     fill = [0] * (7 * tri.tet_count)
@@ -149,12 +166,13 @@ def build_all_links(tri):
     tri.arc_discs = arc_discs = tuple(arc_discs)
     used = [False] * len(arc_discs)
     seen = [False] * len(fill)
-    trees = []
+    steps = []     # the steps of every tree, tree after tree
+    trees = []     # (triangles, start and end of its steps, its closing)
     for root in range(len(fill) - 1, -1, -1):
         if root % 7 > 3 or seen[root]:
             continue
         seen[root] = True
-        steps, closing = [], []
+        start, closing = len(steps), []
         queue = [root]
         for d in queue:    # the queue grows while it is read
             for arc in sides[3 * d:3 * d + fill[d]]:
@@ -171,12 +189,12 @@ def build_all_links(tri):
                     steps.append((arc, d, nb, s))
                     queue.append(nb)
         queue.sort()
-        trees.append((queue, steps, closing))
+        trees.append((queue, start, len(steps), closing))
     trees.sort()   # by first triangle, which no two trees share
     # disc 7i+v is the triangle of slot 4i+v
     vertex_class = [0] * (4 * tri.tet_count)
     classes = []
-    for c, (triangles, _, _) in enumerate(trees):
+    for c, (triangles, _, _, _) in enumerate(trees):
         slots = tuple([d - 3 * (d // 7) for d in triangles])
         for x in slots:
             vertex_class[x] = c
@@ -184,12 +202,10 @@ def build_all_links(tri):
     tri.vertex_classes = tuple(classes)
     tri.vertex_class_at = vertex_class = tuple(vertex_class)
     arcs = [[] for _ in trees]
-    arc_cells = [{} for _ in trees]
     closings = [[] for _ in trees]
     for arc, (_, d, nb, _, _) in enumerate(arc_discs):
         c = vertex_class[d - 3 * (d // 7)]
         arcs[c].append(arc)
-        arc_cells[c][arc] = ends[arc]
         if d == nb:
             closings[c].append((arc, d, d, 0))
     # edge class e runs from a to b on its first member 6i+k: the ends of
@@ -199,10 +215,17 @@ def build_all_links(tri):
         a, b = LOCAL_EDGES[x % 6][::edge_dir[x]]
         cells[vertex_class[x // 6 * 4 + a]].append(cell[2 * e])
         cells[vertex_class[x // 6 * 4 + b]].append(cell[2 * e + 1])
-    return tuple(VertexLink(c, tuple(triangles), tuple(arcs[c]),
-                            tuple(cells[c]), arc_cells[c],
-                            (steps, closings[c] + closing))
-                 for c, (triangles, steps, closing) in enumerate(trees))
+    closing = []
+    tri.forest = forest = (steps, closing)
+    links = []
+    for c, (triangles, start, end, tree_closing) in enumerate(trees):
+        opening = len(closing)
+        closing += closings[c] + tree_closing
+        links.append(VertexLink(c, tuple(triangles), tuple(arcs[c]),
+                                tuple(cells[c]),
+                                {arc: ends[arc] for arc in arcs[c]}, forest,
+                                (start, end, opening, len(closing))))
+    return tuple(links)
 
 
 # Not used by the package.  perfbench/test_bench.py's tracer test expects

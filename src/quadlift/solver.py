@@ -18,14 +18,16 @@ restricted to each vertex link, bounds there.  Three outcomes:
 
 Every arc of a link lies on exactly two link triangles with opposite signs,
 so "bounds, and of what?" is a potential difference on the link's dual
-graph.  One walk over a spanning tree of that graph, from a root with
-potential 0, fixes the triangle coefficients; the arcs outside the tree then
-either all balance (Normal) or one does not (SpunNormal).  The trees are the
-dual forest grown with the links at parse (``VertexLink.tree``).  ``lift``
-computes the quad boundary once per query, over all arcs
-(:func:`quad_boundary`); the cycle test and the walk of each link read its
-own arcs of it, and the walk writes the potential straight into the lift.
-Each link costs time proportional to its size, and a query costs O(t).
+graph.  With d the boundary map, ``lift`` makes one pass per stage over the
+whole triangulation, so a query costs O(t): the quad boundary b
+(:func:`quad_boundary`); one walk over the dual forest of the links
+(``tri.forest``), with w = 0 at each root, and one filter that keeps the
+nonzero residuals r = b + dw on the arcs outside the trees
+(:func:`boundary_test`); the cycle test of each link on the 0-cell sums of
+its residuals (:func:`cycle_imbalance`); and the shift of each link's
+minimum to 0.  As ddw = 0, r has the 0-cell sums of b, so b is a cycle on a
+link exactly when r is; as the tree fixes w, b bounds exactly when r = 0,
+over the integers too (H1 of a closed orientable surface is torsion-free).
 """
 
 from dataclasses import dataclass, field
@@ -101,36 +103,32 @@ def quad_boundary(tri, q):
     return [s * (q[a] - q[b]) for s, _, _, a, b in tri.arc_discs]
 
 
-def cycle_imbalance(tri, b, vertex):
-    """Signed endpoint sums of the quad boundary b at each 0-cell of the
-    link of ``vertex``; all zero exactly when b is a 1-cycle there."""
-    sums = {}
-    for arc, (tail, head) in tri.links[vertex].arc_cells.items():
-        coeff = b[arc]
-        if coeff:
-            sums[head] = sums.get(head, 0) + coeff
-            sums[tail] = sums.get(tail, 0) - coeff
-    return {cell: s for cell, s in sorted(sums.items()) if s != 0}
-
-
-def boundary_test(tri, b, vertex, w):
-    """Decide whether the quad boundary b, restricted to the link of
-    ``vertex``, bounds in the link.
-
-    Walks the link's tree from its root, whose potential ``w`` already
-    holds, and writes into ``w`` (indexed by disc) the integer potential on
-    the link's triangles with boundary -b.  Returns whether every closing
-    arc balances; when one does not, b has no rational solution there.  An
-    integer obstruction cannot occur, since the first homology of a closed
-    orientable surface has no torsion.
-    """
-    steps, closing = tri.links[vertex].tree
+def boundary_test(tri, b, w):
+    """Write into ``w`` (indexed by disc, 0 at each root) the potential
+    that makes r = b + dw vanish on the tree arcs of ``tri.forest``, and
+    return {vertex: [(arc, r), ...]} over the closing arcs with r != 0; a
+    link is absent exactly when b bounds there."""
+    steps, closing = tri.forest
     for arc, d, nb, s in steps:
         w[nb] = w[d] + s * b[arc]
+    residual = {}
     for arc, d, nb, s in closing:
-        if s * (w[d] - w[nb]) + b[arc]:
-            return False
-    return True
+        r = s * (w[d] - w[nb]) + b[arc]
+        if r:   # disc 7i+v is the triangle of slot 4i+v
+            residual.setdefault(tri.vertex_class_at[d - 3 * (d // 7)],
+                                []).append((arc, r))
+    return residual
+
+
+def cycle_imbalance(tri, residual, vertex):
+    """The nonzero sums of the residuals of ``vertex`` at their end 0-cells,
+    which are those of b: none exactly when b is a 1-cycle on its link."""
+    sums = {}
+    for arc, r in residual.get(vertex, ()):
+        tail, head = tri.arc_ends[arc]
+        sums[head] = sums.get(head, 0) + r
+        sums[tail] = sums.get(tail, 0) - r
+    return {cell: s for cell, s in sorted(sums.items()) if s} if sums else sums
 
 
 @dataclass(frozen=True)
@@ -164,32 +162,30 @@ def lift(tri, q):
         raise ValueError("inadmissible quadrilateral coordinates: %r" % (report,))
 
     b = quad_boundary(tri, q)
+    # the triangle entries of coords start at 0, so every root's is 0
+    coords = quad_chain(tri, q)
+    residual = boundary_test(tri, b, coords)
     cycle_failures = []
     for vertex in range(len(tri.links)):
-        imbalance = cycle_imbalance(tri, b, vertex)
+        imbalance = cycle_imbalance(tri, residual, vertex)
         if imbalance:
             cycle_failures.append((vertex, tuple(imbalance.items())))
     if cycle_failures:
         return LiftResult(NOT_NORMAL, cycle_failures=tuple(cycle_failures))
+    if residual:
+        return LiftResult(SPUN_NORMAL, boundary_failures=tuple(
+            (vertex, "no rational solution") for vertex in sorted(residual)))
 
-    # the triangle entries of coords start at 0, so every root's is 0
-    coords = quad_chain(tri, q)
-    shifts = {}
-    boundary_failures = []
-    for vertex, link in enumerate(tri.links):
-        if not boundary_test(tri, b, vertex, coords):
-            boundary_failures.append((vertex, "no rational solution"))
-            continue
-        shifts[vertex] = m = min([coords[d] for d in link.triangles])
-        for d in link.triangles:
-            coords[d] -= m
-    if boundary_failures:
-        return LiftResult(SPUN_NORMAL, boundary_failures=tuple(boundary_failures))
-
+    # a link whose minimum is its root's 0 needs no shift, as most do
+    shift = [min(link.gather(coords)) for link in tri.links]
+    for link, m in zip(tri.links, shift):
+        if m:
+            for d in link.triangles:
+                coords[d] -= m
     residue = chains.apply_boundary(tri, coords)
     if any(residue) or min(coords) < 0:
         raise AssertionError("canonical lift failed its own postconditions")
-    return LiftResult(NORMAL, coords, shifts)
+    return LiftResult(NORMAL, coords, dict(enumerate(shift)))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Conventions used throughout the package:
   {0,1,2,3} taking the corners of the source face to those of the target
   face and the omitted vertex to the omitted vertex.
 * Per-slot data lives in flat sequences: face slot f of tetrahedron i at
-  4i+f (its partner slot 4j+g, the index of its gluing in ``PERMS``, and
-  ``face_class_at``), local vertex v at 4i+v (``vertex_class_at``), and
-  local edge {a,b} at 6i+k, k its index in ``LOCAL_EDGES`` (``edge_class_at``
-  and ``edge_direction_at``, +1 where the class runs a->b for a < b).
+  4i+f (its partner slot 4j+g and the index of its gluing in ``PERMS``),
+  local vertex v at 4i+v (``vertex_class_at``), and local edge {a,b} at
+  6i+k, k its index in ``LOCAL_EDGES`` (``edge_class_at`` and
+  ``edge_direction_at``, +1 where the class runs a->b for a < b).
 * Tetrahedron i has 7 normal disc types, disc index 7i+j: the triangles
   cutting off vertex j at j=0..3 and the quadrilaterals Q1, Q2, Q3 at
   j=4..6, where Qk separates edge {0,k} from the opposite edge.
@@ -229,10 +229,11 @@ class Triangulation:
 
     Instances are immutable once constructed and safe to share between
     threads.  Construction checks the gluings and the orientability, and
-    computes everything else: the face and edge classes (``face_classes``
-    builds its objects on first use), orientation signs, edge directions,
-    and, in ``links.build_all_links``, the vertex classes with their links
-    and the discs meeting each arc (``arc_discs``).  The ``EdgeClass``
+    computes everything else: the edge classes (``face_classes`` builds
+    the face classes on first use), orientation signs, edge directions,
+    and, in ``links.build_all_links``, the vertex classes, their links and
+    ``forest``, and the discs and 0-cells of each arc (``arc_discs``,
+    ``arc_ends``).  The ``EdgeClass``
     objects, which name the vertex classes at their ends, come last.
     """
 
@@ -243,7 +244,6 @@ class Triangulation:
             except (ValueError, RecursionError) as exc:
                 raise TriangulationError("malformed document: %s" % exc) from exc
         self._load(doc)
-        self._compute_face_classes()
         self._compute_orientations()
         members = self._compute_edge_classes()
         self._cache = {}
@@ -333,14 +333,6 @@ class Triangulation:
 
         self._partner = partner
         self._perm = perm
-
-    def _compute_face_classes(self):
-        # slot x represents its class when its partner comes later
-        partner = self._partner
-        face_class = [0] * len(partner)
-        for c, x in enumerate(x for x, y in enumerate(partner) if y > x):
-            face_class[x] = face_class[partner[x]] = c
-        self.face_class_at = tuple(face_class)
 
     @property
     def face_classes(self):

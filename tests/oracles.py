@@ -5,9 +5,9 @@ first principles) rather than against the library's internals, so a bug in
 the package cannot hide in its own oracle.  The later ones are reference
 implementations the package no longer needs: integer solving and kernels,
 the per-disc boundary and the matching equations, and the per-entry
-admissibility loop, per-vertex link builder, per-link dual tree at any root
-and Smith-form lift that the package replaced.  The last section holds small
-helpers that only the tests use.
+admissibility loop, per-vertex link builder, per-link dual tree at any root,
+arc-by-arc cycle test and Smith-form lift that the package replaced.  The
+last section holds small helpers that only the tests use.
 """
 
 import copy
@@ -22,8 +22,7 @@ from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
 from quadlift.links import VertexLink, build_all_links
 from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL,
                              AdmissibilityReport, LiftResult, boundary_test,
-                             check_admissible, cycle_imbalance, quad_boundary,
-                             quad_chain)
+                             check_admissible, quad_boundary, quad_chain)
 from quadlift.triangulation import (LOCAL_EDGES, PERMS, EdgeClass,
                                     TriangulationError, perm_sign, quad_disc)
 
@@ -786,9 +785,10 @@ def build_link(tri, vertex):
             raise TriangulationError(
                 "link of vertex %d is disconnected" % vertex)
 
-    link = VertexLink(vertex, triangles, arcs, cells, arc_cells, None)
-    link.tree = dual_tree(link, len(triangles) - 1, tri.arc_discs)
-    return link
+    stub = SimpleNamespace(triangles=triangles, arcs=arcs)
+    steps, closing = dual_tree(stub, len(triangles) - 1, tri.arc_discs)
+    return VertexLink(vertex, triangles, arcs, cells, arc_cells,
+                      (steps, closing), (0, len(steps), 0, len(closing)))
 
 
 def dual_tree(link, root, arc_discs):
@@ -826,20 +826,35 @@ def dual_tree(link, root, arc_discs):
 
 
 def link_potential(tri, b, vertex, root=None):
-    """``solver.boundary_test`` on the link of ``vertex`` in the form
-    (ok, witness, reason): ``witness`` is the potential over
+    """The verdict of ``solver.boundary_test`` on the link of ``vertex`` in
+    the form (ok, witness, reason): ``witness`` is the potential over
     ``link.triangles``, zero at position ``root``, or None with reason
     ``"no rational solution"``.  The default root is the last triangle,
-    whose tree is ``link.tree``; another root walks :func:`dual_tree`
-    there, handed to ``boundary_test`` as the only link it reads."""
+    whose tree is the link's tree of ``tri.forest``, and the whole forest
+    is walked; another root walks :func:`dual_tree` there, handed to
+    ``boundary_test`` as the only tree of its forest."""
     link = tri.links[vertex]
     w = [0] * tri.disc_count
     if root is not None:
-        tree = dual_tree(link, root, tri.arc_discs)
-        tri = SimpleNamespace(links={vertex: SimpleNamespace(tree=tree)})
-    if not boundary_test(tri, b, vertex, w):
+        tri = SimpleNamespace(forest=dual_tree(link, root, tri.arc_discs),
+                              vertex_class_at=tri.vertex_class_at)
+    if vertex in boundary_test(tri, b, w):
         return False, None, "no rational solution"
     return True, [w[d] for d in link.triangles], None
+
+
+def cycle_imbalance(tri, b, vertex):
+    """Signed endpoint sums of the quad boundary b at each 0-cell of the
+    link of ``vertex``, read arc by arc from ``link.arc_cells``: the cycle
+    test the package made before it read the sums off the residuals of the
+    forest walk.  All zero exactly when b is a 1-cycle there."""
+    sums = {}
+    for arc, (tail, head) in tri.links[vertex].arc_cells.items():
+        coeff = b[arc]
+        if coeff:
+            sums[head] = sums.get(head, 0) + coeff
+            sums[tail] = sums.get(tail, 0) - coeff
+    return {cell: s for cell, s in sorted(sums.items()) if s != 0}
 
 
 def link_boundary_matrix(tri, link):
@@ -988,6 +1003,20 @@ def triangle_part(tri, chain2):
             for tet in range(tri.tet_count) for c in range(4)]
 
 
+def small_vectors(tri, rng, count):
+    """Random admissible quad vectors with entries up to 2; most are not
+    cycles on every link."""
+    out = []
+    for _ in range(count):
+        q = [0] * tri.quad_count
+        for tet in range(tri.tet_count):
+            k = rng.randrange(4)
+            if k:
+                q[3 * tet + k - 1] = rng.randint(1, 2)
+        out.append(q)
+    return out
+
+
 def cycle_test(tri, q, vertex):
     return not cycle_imbalance(tri, quad_boundary(tri, q), vertex)
 
@@ -1019,7 +1048,10 @@ def arc_of(tri, tet, face_slot, corner):
     y = tri._partner[x]
     if y < x:
         face_slot, corner = y & 3, PERMS[tri._perm[x]][corner]
-    return 3 * tri.face_class_at[x] + FACE_CORNERS[face_slot].index(corner)
+    # the face class numbers its representative slot, x < partner, among all
+    rep = min(x, y)
+    face_class = sum(1 for z, w in enumerate(tri._partner[:rep]) if w > z)
+    return 3 * face_class + FACE_CORNERS[face_slot].index(corner)
 
 
 def directed_face_edge(tri, tet, face_slot, corner):

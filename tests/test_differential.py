@@ -6,6 +6,9 @@ fig8 covers from perfbench/generators.py, and suspended surfaces of genus 2
 and 3) and on every small admissible vector of the fixtures.  The arc table
 that the link pass builds must give the boundary matrix and the quad
 boundary of every link that the per-disc boundary of the oracles gives.
+The cycle test that ``lift`` reads off the residuals of its forest walk must
+name the 0-cells that the arc-by-arc test names, and no answer may depend on
+the direction of an edge class.
 """
 
 import copy
@@ -20,10 +23,10 @@ from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary, boundary_matrix
 from quadlift.solver import quad_boundary, quad_chain
 from conftest import load_doc, load_tri
-from oracles import (boundary_of, disc_boundary, flip_edge,
+from oracles import (boundary_of, cycle_imbalance, disc_boundary, flip_edge,
                      link_boundary_matrix, link_potential, random_isomorphism,
-                     relabel_doc, smith_lift, solve_integer, suspended_surface,
-                     translate_disc, translate_disc_vector,
+                     relabel_doc, small_vectors, smith_lift, solve_integer,
+                     suspended_surface, translate_disc, translate_disc_vector,
                      translate_quad_vector)
 import generators as gen
 
@@ -274,3 +277,81 @@ def test_lift_is_smith_lift_and_commutes_with_relabelling(pair, seed):
             assert answer.per_vertex_shift == {
                 link.vertex: -answer.canonical_lift[link.triangles[-1]]
                 for link in labelled.links}
+
+
+def cover_of(name):
+    """The number of folds of an ``ARC_TABLE_DOCS`` fig8 cover, else None."""
+    return int(name[len("cover-"):]) if name.startswith("cover-") else None
+
+
+def family_queries(tri, cover, seed):
+    queries = generated_queries(tri, random.Random(seed), cover)
+    return queries + small_vectors(tri, random.Random(seed), 12)
+
+
+@pytest.mark.parametrize("name, doc", ARC_TABLE_DOCS,
+                         ids=[name for name, _ in ARC_TABLE_DOCS])
+def test_cycle_failures_are_the_arc_by_arc_cycle_test(name, doc):
+    tri = parse_triangulation(doc)
+    failing = 0
+    for q in family_queries(tri, cover_of(name), tri.tet_count):
+        b = quad_boundary(tri, q)
+        expected = tuple((v, tuple(imbalance.items()))
+                         for v in range(len(tri.links))
+                         for imbalance in [cycle_imbalance(tri, b, v)]
+                         if imbalance)
+        result = lift(tri, q)
+        if expected:
+            failing += 1
+            assert result.classification == NOT_NORMAL
+            assert result.cycle_failures == expected
+        else:
+            assert result.classification != NOT_NORMAL
+    assert failing
+
+
+@st.composite
+def family_triangulation(draw):
+    """A triangulation of ``ARC_TABLE_DOCS``, with one edge class flipped or
+    not, and its cover size or None."""
+    name, doc = draw(st.sampled_from(ARC_TABLE_DOCS))
+    tri = parse_triangulation(doc)
+    if draw(st.booleans()):
+        tri = flip_edge(tri, draw(st.integers(0, len(tri.edge_classes) - 1)))
+    return tri, cover_of(name)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(family_triangulation(), st.data())
+def test_the_link_boundary_of_every_potential_is_a_cycle(drawn, data):
+    # dd = 0 on every link, d the boundary map: the residual of the forest
+    # walk has the 0-cell sums of the quad boundary because the boundary of
+    # any potential has none
+    tri, _ = drawn
+    w = data.draw(st.lists(st.integers(-9, 9), min_size=tri.disc_count,
+                           max_size=tri.disc_count))
+    for link in tri.links:
+        sums = {}
+        for arc in link.arcs:
+            s, tri_a, tri_b, _, _ = tri.arc_discs[arc]
+            coeff = s * (w[tri_a] - w[tri_b])
+            tail, head = link.arc_cells[arc]
+            sums[head] = sums.get(head, 0) + coeff
+            sums[tail] = sums.get(tail, 0) - coeff
+        assert not any(sums.values())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(family_triangulation(), st.integers(0, 99))
+def test_lift_does_not_depend_on_edge_directions(drawn, seed):
+    tri, cover = drawn
+    edge = random.Random(seed).randrange(len(tri.edge_classes))
+    flipped = flip_edge(tri, edge)
+    for q in family_queries(tri, cover, seed):
+        result, image = lift(tri, q), lift(flipped, q)
+        assert image.classification == result.classification
+        assert image.canonical_lift == result.canonical_lift
+        assert image.per_vertex_shift == result.per_vertex_shift
+        assert image.boundary_failures == result.boundary_failures
+        assert ([v for v, _ in image.cycle_failures]
+                == [v for v, _ in result.cycle_failures])

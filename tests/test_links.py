@@ -10,7 +10,7 @@ from quadlift.solver import quad_boundary
 from oracles import (arc_of, build_link, disc_boundary, dual_tree, flip_edge,
                      fundamental_class, kernel_basis, link_boundary_matrix,
                      link_boundary_restriction_check, link_potential,
-                     projection, suspended_surface)
+                     projection, small_vectors, suspended_surface)
 import generators as gen
 
 LINK_FIELDS = ("vertex", "triangles", "arcs", "cells", "arc_cells",
@@ -76,26 +76,23 @@ def test_one_pass_links_match_per_vertex_builder_on_covers(n):
     assert_links_match_per_vertex_builder(parse_triangulation(doc))
 
 
-def small_vectors(tri, rng, count):
-    """Random admissible quad vectors with entries up to 2; most are not
-    cycles on every link."""
-    out = []
-    for _ in range(count):
-        q = [0] * tri.quad_count
-        for tet in range(tri.tet_count):
-            k = rng.randrange(4)
-            if k:
-                q[3 * tet + k - 1] = rng.randint(1, 2)
-        out.append(q)
-    return out
-
-
 def assert_tree_invariants(tri):
     """Every link's stored tree is the breadth-first spanning tree of its
     dual graph that the per-link oracle grows from the last triangle.  It
     uses each arc once, joins the two link triangles whose faces hold the
     arc, with the signs of the boundary columns, and ``boundary_test`` on it
-    agrees with the oracle's tree at the same root."""
+    agrees with the oracle's tree at the same root.  The trees are slices
+    of the flat forest that together cover it once."""
+    steps, closing = tri.forest
+    for flat, ranges in ((steps, [link.span[:2] for link in tri.links]),
+                         (closing, [link.span[2:] for link in tri.links])):
+        ranges.sort()
+        assert [start for start, _ in ranges] == [0] + [
+            end for _, end in ranges[:-1]]
+        assert ranges[-1][1] == len(flat)
+    for link in tri.links:
+        assert link.arc_cells == {arc: tri.arc_ends[arc] for arc in link.arcs}
+        assert link.gather(range(tri.disc_count)) == link.triangles
     rng = random.Random(tri.tet_count)
     queries = (gen.edge_link_vectors(tri) + [[0] * tri.quad_count]
                + small_vectors(tri, rng, 8))
