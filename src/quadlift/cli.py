@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 from . import chains, solver
 from .intlinalg import IntMatrix, smith_normal_form
@@ -108,8 +109,35 @@ def _parser(cmd, *, tri=True, quads=False, coords=False, matrix=False,
     return p
 
 
+def _json_text(value, indent):
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives for
+    ``value`` at ``indent``, without the pure-Python encoder that ``indent``
+    selects: a list of ints, such as a row of coordinates, is one join.
+    Dict keys must be str; tuples print as lists."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if all(type(v) is int for v in value):
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{\n" + inner + (",\n" + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(value[k], inner)
+             for k in sorted(value)]) + "\n" + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
 def _emit_json(payload, out):
-    json.dump(payload, out, indent=2, sort_keys=True)
+    out.write(_json_text(payload, ""))
     out.write("\n")
 
 

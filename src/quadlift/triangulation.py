@@ -18,8 +18,9 @@ Conventions used throughout the package:
   cutting off vertex j at j=0..3 and the quadrilaterals Q1, Q2, Q3 at
   j=4..6, where Qk separates edge {0,k} from the opposite edge.
 * Tetrahedra carry orientation signs (+1/-1) such that every gluing reverses
-  the induced face orientation; edge classes carry a direction, fixed by the
-  lexicographically least local representative.
+  the induced face orientation; edge classes, found by walking round each
+  edge, carry a direction, fixed by the lexicographically least local
+  representative.
 
 An orientable closed complex is a manifold away from its vertices, and the
 link of every vertex class is a closed orientable surface (a sphere exactly at
@@ -28,7 +29,7 @@ manifold points), connected as the classes are its components: see
 """
 
 import json
-from itertools import combinations, permutations
+from itertools import permutations
 
 # Corners of face slot f, in increasing local-vertex order.
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -72,15 +73,21 @@ _PERM_SIGN = tuple(map(perm_sign, PERMS))
 _GLUING = {(f, sigma[f]) + tuple(sigma[v] for v in FACE_CORNERS[f]): p
            for p, sigma in enumerate(PERMS) for f in range(4)}
 
-# _EDGE_UNIONS[24 * f + p] lists (k, k', rel) for the edges (c0, c1),
-# (c0, c2), (c1, c2) of face f = (c0, c1, c2) glued by PERMS[p]: the gluing
-# takes local edge k to edge k' of the partner tetrahedron, min->max to
-# min->max when rel is +1.
-_EDGE_UNIONS = tuple(
-    tuple((_slot(a, b), _slot(sigma[a], sigma[b]),
-           1 if sigma[a] < sigma[b] else -1)
-          for a, b in combinations(FACE_CORNERS[f], 2))
-    for f in range(4) for sigma in PERMS)
+def _step(k, c, sigma):
+    a, b = LOCAL_EDGES[k]
+    d = 6 - a - b - c   # the fourth vertex, which is in both faces
+    rel = 1 if sigma[a] < sigma[b] else -1
+    return _slot(sigma[a], sigma[b]), sigma[d], rel
+
+
+# _STEP[96 * k + 24 * c + p] = (k', c', rel) for local edge k and a face
+# holding it, the one omitting c, glued by PERMS[p]: the gluing takes edge k
+# to edge k' of the partner tetrahedron, min->max to min->max when rel is +1,
+# and c' is omitted by the partner's other face on edge k'.
+_STEP = tuple(None if c in LOCAL_EDGES[k] else _step(k, c, sigma)
+              for k in range(6) for c in range(4) for sigma in PERMS)
+# the first face holding local edge k omits _FIRST_FACE[k]
+_FIRST_FACE = tuple(min({0, 1, 2, 3}.difference(pair)) for pair in LOCAL_EDGES)
 
 
 def _arc_edges(f, v):
@@ -173,7 +180,7 @@ class EdgeClass:
     """An edge of the quotient complex with its chosen direction.
 
     The direction runs from the smaller to the larger vertex label in the
-    least local representative.
+    least local representative, where ``tri.edge_direction_at`` is +1.
     ``tail_vertex``/``head_vertex`` are vertex-class indices; ``slots`` are
     the flat indices 6i+k of the members, ascending.
     """
@@ -181,15 +188,16 @@ class EdgeClass:
     __slots__ = ("index", "rep", "slots", "tail_local", "head_local",
                  "tail_vertex", "head_vertex")
 
-    def __init__(self, index, slots, tail_local, head_local, tail_vertex,
-                 head_vertex):
+    def __init__(self, tri, index, slots):
+        x = slots[0]   # 6i+k: the class runs along LOCAL_EDGES[k], or back
+        i4 = x // 6 * 4
         self.index = index
-        self.rep = _edge_name(slots[0])
+        self.rep = _edge_name(x)
         self.slots = slots
-        self.tail_local = tail_local
-        self.head_local = head_local
-        self.tail_vertex = tail_vertex
-        self.head_vertex = head_vertex
+        a, b = LOCAL_EDGES[x % 6][::tri.edge_direction_at[x]]
+        self.tail_local, self.head_local = a, b
+        self.tail_vertex = tri.vertex_class_at[i4 + a]
+        self.head_vertex = tri.vertex_class_at[i4 + b]
 
     @property
     def members(self):
@@ -229,12 +237,12 @@ class Triangulation:
 
     Instances are immutable once constructed and safe to share between
     threads.  Construction checks the gluings and the orientability, and
-    computes everything else: the edge classes (``face_classes`` builds
-    the face classes on first use), orientation signs, edge directions,
-    and, in ``links.build_all_links``, the vertex classes, their links and
+    computes the orientation signs, the edge classes with their directions
+    (``edge_class_at``, ``edge_direction_at``) and, in
+    ``links.build_all_links``, the vertex classes, their links and
     ``forest``, and the discs and 0-cells of each arc (``arc_discs``,
-    ``arc_ends``).  The ``EdgeClass``
-    objects, which name the vertex classes at their ends, come last.
+    ``arc_ends``).  The ``EdgeClass`` and ``FaceClass`` objects
+    (``edge_classes``, ``face_classes``) are built on first use.
     """
 
     def __init__(self, doc):
@@ -245,16 +253,10 @@ class Triangulation:
                 raise TriangulationError("malformed document: %s" % exc) from exc
         self._load(doc)
         self._compute_orientations()
-        members = self._compute_edge_classes()
+        self._compute_edge_classes()
         self._cache = {}
         from . import links   # which imports this module
         self.links = links.build_all_links(self)   # and the vertex classes
-        vertex_class = self.vertex_class_at
-        self.edge_classes = tuple(
-            EdgeClass(e, tuple(group), a, b, vertex_class[4 * i + a],
-                      vertex_class[4 * i + b])
-            for e, group in enumerate(members)
-            for i, a, b in [_edge_name(group[0])])
 
     # ------------------------------------------------------------------
     # construction
@@ -345,60 +347,60 @@ class Triangulation:
                 for c, (x, y) in enumerate(pairs))
         return classes
 
-    def _compute_edge_classes(self):
-        """Signed union over representative faces, with value(x) = sign[x]
-        * value(root[x]); the partner side of a face imposes the same
-        relations.  The larger class relabels the smaller, a circular list
-        through nxt, and the lists are spliced.  Returns each class's slots,
-        ascending; classes are numbered by their first slot.
+    @property
+    def edge_classes(self):
+        """The EdgeClass of every edge class, built on first use."""
+        classes = self._cache.get("edges")
+        if classes is None:
+            members = {}   # classes are numbered in order of first slot
+            for x, e in enumerate(self.edge_class_at):
+                members.setdefault(e, []).append(x)
+            classes = self._cache["edges"] = tuple(
+                EdgeClass(self, e, tuple(slots))
+                for e, slots in members.items())
+        return classes
 
-        No class meets itself reversed, so no union closes a conflict.  Its
-        members form one cycle round the edge, and a walk round the cycle
+    def _compute_edge_classes(self):
+        """Walk round each edge.  Local edge k of tetrahedron i lies in two
+        of its faces; crossing one of them, by its gluing, reaches a local
+        edge of the partner tetrahedron, which the walk leaves by its other
+        face (``_STEP``).  Every face is glued to exactly one other, so these
+        steps pair the (slot, face) incidences, and a class is one cycle
+        round the edge that meets each member once: the walk from the
+        class's first slot, slots taken in ascending order, visits the class
+        and returns there.  Classes are numbered by their first slot, where
+        the direction is +1 (min->max), and each step carries it by rel.
+
+        The direction closes up round the cycle.  A walk round the edge
         turns one way; with the orientations, which every gluing respects
         once the orientation check has passed, that turn fixes a direction
-        of the edge that each step carries to the next member.  (A reversed
-        edge would make the link of its midpoint RP^2.)
+        of the edge that each step carries to the next member, so no class
+        meets itself reversed.  (A reversed edge would make the link of its
+        midpoint RP^2.)
         """
         partner, perm = self._partner, self._perm
         n = 6 * self.tet_count
-        root, nxt = list(range(n)), list(range(n))
-        size = [1] * n
-        sign = [1] * n
-        for x, y in enumerate(partner):
-            if y < x:
+        edge_class = [-1] * n
+        direction = [1] * n
+        e = 0
+        for start in range(n):
+            if edge_class[start] >= 0:
                 continue
-            i6, j6 = 6 * (x >> 2), 6 * (y >> 2)
-            for k, target, rel in _EDGE_UNIONS[24 * (x & 3) + perm[x]]:
-                a, b = i6 + k, j6 + target
-                ra, rb = root[a], root[b]
-                if ra == rb:
-                    continue
-                flip = sign[a] * rel * sign[b]   # value(rb) / value(ra)
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
-                z = rb
-                while root[z] != ra:
-                    root[z] = ra
-                    sign[z] *= flip
-                    z = nxt[z]
-                nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
-                size[ra] += size[rb]
-
-        # A class runs min->max on its first member; first[e] is that
-        # direction relative to the root's.
-        label = [-1] * n
-        first = []
-        members = []
-        for x, r in enumerate(root):
-            if label[r] < 0:
-                label[r] = len(members)
-                first.append(sign[x])
-                members.append([])
-            members[label[r]].append(x)
-        self.edge_class_at = edge_class = tuple([label[r] for r in root])
-        self.edge_direction_at = tuple([s * first[e] for s, e
-                                        in zip(sign, edge_class)])
-        return members
+            i, k = divmod(start, 6)
+            c, d, x = _FIRST_FACE[k], 1, start
+            while True:
+                edge_class[x] = e
+                direction[x] = d
+                y = 4 * i + c
+                k, c, rel = _STEP[96 * k + 24 * c + perm[y]]
+                i = partner[y] >> 2
+                x = 6 * i + k
+                if x == start:
+                    break
+                d *= rel
+            e += 1
+        self.edge_class_at = tuple(edge_class)
+        self.edge_direction_at = tuple(direction)
 
     def _compute_orientations(self):
         t = self.tet_count

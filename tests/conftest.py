@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -11,6 +12,9 @@ DATA = Path(__file__).parent / "data"
 # The seeded generators of the benchmark, imported as ``generators``.
 sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 
+import generators as gen  # noqa: E402
+from oracles import suspended_surface  # noqa: E402
+
 
 def load_doc(name):
     return json.loads((DATA / name).read_text())
@@ -18,6 +22,17 @@ def load_doc(name):
 
 def load_tri(name):
     return parse_triangulation(load_doc(name))
+
+
+# (name, document): the fixtures, stacked spheres, fig8 covers and the
+# suspended surfaces of genus 2 and 3
+FAMILY_DOCS = (
+    [(name, load_doc(name + ".json"))
+     for name in ("double_tet", "fig8", "three_tet", "one_tet", "pentachoron")]
+    + [("stacked-%d" % m, gen.stacked(random.Random(m), m))
+       for m in (0, 1, 4, 13, 40)]
+    + [("cover-%d" % n, gen.fig8_cover(n)) for n in (1, 2, 5, 16)]
+    + [("suspended-%d" % g, suspended_surface(g)) for g in (2, 3)])
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,8 @@ from quadlift.links import VertexLink, build_all_links
 from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL,
                              AdmissibilityReport, LiftResult, boundary_test,
                              check_admissible, quad_boundary, quad_chain)
-from quadlift.triangulation import (LOCAL_EDGES, PERMS, EdgeClass,
-                                    TriangulationError, perm_sign, quad_disc)
+from quadlift.triangulation import (LOCAL_EDGES, PERMS, TriangulationError,
+                                    perm_sign, quad_disc)
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
@@ -705,8 +705,73 @@ def link_boundary_restriction_check(tri, link):
 
 
 # ----------------------------------------------------------------------
-# the former library paths: the per-entry admissibility loop, per-vertex
-# link building and the Smith-form lift
+# the former library paths: the signed union-find of the edge classes, the
+# per-entry admissibility loop, per-vertex link building and the Smith-form
+# lift
+
+def _local_edge(a, b):
+    return LOCAL_EDGES.index((min(a, b), max(a, b)))
+
+
+# _EDGE_UNIONS[24 * f + p] lists (k, k', rel) for the edges (c0, c1),
+# (c0, c2), (c1, c2) of face f = (c0, c1, c2) glued by PERMS[p]: the gluing
+# takes local edge k to edge k' of the partner tetrahedron, min->max to
+# min->max when rel is +1.
+_EDGE_UNIONS = tuple(
+    tuple((_local_edge(a, b), _local_edge(sigma[a], sigma[b]),
+           1 if sigma[a] < sigma[b] else -1)
+          for a, b in itertools.combinations(FACE_CORNERS[f], 2))
+    for f in range(4) for sigma in PERMS)
+
+
+def union_find_edge_classes(tri):
+    """(edge_class_at, edge_direction_at, members) of ``tri``'s gluings by
+    the signed union-find the package ran before it walked round each edge:
+    a union over representative faces, with value(x) = sign[x] *
+    value(root[x]); the larger class relabels the smaller, a circular list
+    through nxt, and the lists are spliced.  ``members`` lists each class's
+    slots, ascending; classes are numbered by their first slot, where the
+    direction is +1."""
+    partner, perm = tri._partner, tri._perm
+    n = 6 * tri.tet_count
+    root, nxt = list(range(n)), list(range(n))
+    size = [1] * n
+    sign = [1] * n
+    for x, y in enumerate(partner):
+        if y < x:
+            continue
+        i6, j6 = 6 * (x >> 2), 6 * (y >> 2)
+        for k, target, rel in _EDGE_UNIONS[24 * (x & 3) + perm[x]]:
+            a, b = i6 + k, j6 + target
+            ra, rb = root[a], root[b]
+            if ra == rb:
+                continue
+            flip = sign[a] * rel * sign[b]   # value(rb) / value(ra)
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            z = rb
+            while root[z] != ra:
+                root[z] = ra
+                sign[z] *= flip
+                z = nxt[z]
+            nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
+            size[ra] += size[rb]
+
+    # A class runs min->max on its first member; first[e] is that direction
+    # relative to the root's.
+    label = [-1] * n
+    first = []
+    members = []
+    for x, r in enumerate(root):
+        if label[r] < 0:
+            label[r] = len(members)
+            first.append(sign[x])
+            members.append([])
+        members[label[r]].append(x)
+    edge_class = tuple([label[r] for r in root])
+    direction = tuple([s * first[e] for s, e in zip(sign, edge_class)])
+    return edge_class, direction, members
+
 
 def check_admissible_loop(q, tet_count=None):
     """``solver.check_admissible`` as one test per entry, the way the
@@ -1099,15 +1164,11 @@ def flip_edge(tri, e):
     its links and arc table rebuilt.  No answer of the package may depend
     on edge directions, so every answer must be the same on the copy."""
     flipped = copy.copy(tri)
-    flipped._cache = {}   # the boundary matrix is cached there
-    old = tri.edge_classes[e]
-    classes = list(tri.edge_classes)
-    classes[e] = EdgeClass(e, old.slots, old.head_local, old.tail_local,
-                           old.head_vertex, old.tail_vertex)
-    flipped.edge_classes = tuple(classes)
-    direction = list(tri.edge_direction_at)
-    for x in old.slots:
-        direction[x] = -direction[x]
-    flipped.edge_direction_at = tuple(direction)
+    # the boundary matrix and the EdgeClass objects, which read the
+    # directions, are cached there
+    flipped._cache = {}
+    flipped.edge_direction_at = tuple(
+        -d if c == e else d
+        for c, d in zip(tri.edge_class_at, tri.edge_direction_at))
     flipped.links = build_all_links(flipped)
     return flipped

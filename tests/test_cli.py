@@ -4,8 +4,11 @@ import os
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import quadlift
-from quadlift.cli import run
+from quadlift.cli import _emit_json, run
 
 from conftest import DATA
 
@@ -435,3 +438,28 @@ def test_module_entry_point_exits_with_the_code_and_bytes_of_run(tmp_path):
         _, out, err = invoke(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             code, out.encode(), err.encode())
+
+
+# JSON values as the CLI's payloads hold them, and more: tuples, empties,
+# integers past 64 bits, and strings with quotes, control characters and
+# non-ASCII text
+SPECIAL = '"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001f600'
+TEXT = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()),
+               max_size=6)
+INTS = st.integers(-10 ** 40, 10 ** 40)
+JSON_VALUES = st.recursive(
+    st.one_of(INTS, st.booleans(), st.none(), TEXT),
+    lambda children: st.one_of(
+        st.lists(INTS, max_size=5), st.lists(INTS, max_size=5).map(tuple),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(JSON_VALUES)
+def test_the_json_writer_prints_what_json_dumps_prints(value):
+    out = io.StringIO()
+    _emit_json(value, out)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -3,9 +3,11 @@
 ``lift`` and ``oracles.smith_lift`` must give the same LiftResult, the
 per-vertex shifts included, on generated triangulations (stacked spheres and
 fig8 covers from perfbench/generators.py, and suspended surfaces of genus 2
-and 3) and on every small admissible vector of the fixtures.  The arc table
-that the link pass builds must give the boundary matrix and the quad
-boundary of every link that the per-disc boundary of the oracles gives.
+and 3) and on every small admissible vector of the fixtures; every Normal
+answer must be a normal surface with the given quad part and a zero
+triangle coefficient on every link.  The arc table that the link pass
+builds must give the boundary matrix and the quad boundary of every link
+that the per-disc boundary of the oracles gives.
 The cycle test that ``lift`` reads off the residuals of its forest walk must
 name the 0-cells that the arc-by-arc test names, and no answer may depend on
 the direction of an edge class.
@@ -21,22 +23,14 @@ from hypothesis import strategies as st
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary, boundary_matrix
-from quadlift.solver import quad_boundary, quad_chain
-from conftest import load_doc, load_tri
+from quadlift.solver import quad_boundary, quad_chain, quad_part, verify_normal
+from conftest import FAMILY_DOCS, load_tri
 from oracles import (boundary_of, cycle_imbalance, disc_boundary, flip_edge,
                      link_boundary_matrix, link_potential, random_isomorphism,
                      relabel_doc, small_vectors, smith_lift, solve_integer,
                      suspended_surface, translate_disc, translate_disc_vector,
                      translate_quad_vector)
 import generators as gen
-
-ARC_TABLE_DOCS = (
-    [(name, load_doc(name + ".json"))
-     for name in ("double_tet", "fig8", "three_tet", "one_tet", "pentachoron")]
-    + [("stacked-%d" % m, gen.stacked(random.Random(m), m))
-       for m in (0, 1, 4, 13, 40)]
-    + [("cover-%d" % n, gen.fig8_cover(n)) for n in (1, 2, 5, 16)]
-    + [("suspended-%d" % g, suspended_surface(g)) for g in (2, 3)])
 
 
 def assert_arc_table_matches_per_disc_oracle(tri):
@@ -52,8 +46,8 @@ def assert_arc_table_matches_per_disc_oracle(tri):
                                                      for arc in link.arcs]
 
 
-@pytest.mark.parametrize("doc", [doc for _, doc in ARC_TABLE_DOCS],
-                         ids=[name for name, _ in ARC_TABLE_DOCS])
+@pytest.mark.parametrize("doc", [doc for _, doc in FAMILY_DOCS],
+                         ids=[name for name, _ in FAMILY_DOCS])
 def test_arc_table_matches_per_disc_oracle(doc):
     tri = parse_triangulation(doc)
     assert_arc_table_matches_per_disc_oracle(tri)
@@ -61,8 +55,8 @@ def test_arc_table_matches_per_disc_oracle(doc):
         assert_arc_table_matches_per_disc_oracle(flip_edge(tri, edge))
 
 
-@pytest.mark.parametrize("doc", [doc for _, doc in ARC_TABLE_DOCS],
-                         ids=[name for name, _ in ARC_TABLE_DOCS])
+@pytest.mark.parametrize("doc", [doc for _, doc in FAMILY_DOCS],
+                         ids=[name for name, _ in FAMILY_DOCS])
 @pytest.mark.parametrize("moved", [False, True], ids=["", "one-four"])
 def test_quad_boundary_is_the_boundary_of_the_quad_chain(doc, moved):
     if moved:
@@ -279,8 +273,28 @@ def test_lift_is_smith_lift_and_commutes_with_relabelling(pair, seed):
                 for link in labelled.links}
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(relabelled_pair(), st.integers(0, 99))
+def test_every_normal_answer_is_the_minimal_normal_lift(pair, seed):
+    # what lift's postcondition checks at run time, and the minimality that
+    # it does not: a normal surface with quad part q whose triangles reach 0
+    # on every link
+    doc, _, (tet_perm, vertex_perms) = pair
+    for tri in (parse_triangulation(doc),
+                parse_triangulation(relabel_doc(doc, tet_perm, vertex_perms))):
+        for q in generated_queries(tri, random.Random(seed)):
+            result = lift(tri, q)
+            if result.classification != NORMAL:
+                continue
+            coords = result.canonical_lift
+            assert verify_normal(tri, coords).ok, q
+            assert quad_part(tri, coords) == q
+            assert [min(coords[d] for d in link.triangles)
+                    for link in tri.links] == [0] * len(tri.links), q
+
+
 def cover_of(name):
-    """The number of folds of an ``ARC_TABLE_DOCS`` fig8 cover, else None."""
+    """The number of folds of a ``FAMILY_DOCS`` fig8 cover, else None."""
     return int(name[len("cover-"):]) if name.startswith("cover-") else None
 
 
@@ -289,8 +303,8 @@ def family_queries(tri, cover, seed):
     return queries + small_vectors(tri, random.Random(seed), 12)
 
 
-@pytest.mark.parametrize("name, doc", ARC_TABLE_DOCS,
-                         ids=[name for name, _ in ARC_TABLE_DOCS])
+@pytest.mark.parametrize("name, doc", FAMILY_DOCS,
+                         ids=[name for name, _ in FAMILY_DOCS])
 def test_cycle_failures_are_the_arc_by_arc_cycle_test(name, doc):
     tri = parse_triangulation(doc)
     failing = 0
@@ -312,9 +326,9 @@ def test_cycle_failures_are_the_arc_by_arc_cycle_test(name, doc):
 
 @st.composite
 def family_triangulation(draw):
-    """A triangulation of ``ARC_TABLE_DOCS``, with one edge class flipped or
+    """A triangulation of ``FAMILY_DOCS``, with one edge class flipped or
     not, and its cover size or None."""
-    name, doc = draw(st.sampled_from(ARC_TABLE_DOCS))
+    name, doc = draw(st.sampled_from(FAMILY_DOCS))
     tri = parse_triangulation(doc)
     if draw(st.booleans()):
         tri = flip_edge(tri, draw(st.integers(0, len(tri.edge_classes) - 1)))

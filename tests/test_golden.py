@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from quadlift import Triangulation, parse_triangulation
+from quadlift import Triangulation, cli, parse_triangulation
 from quadlift.cli import run
 from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
 
@@ -129,6 +129,25 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     actual = golden_outputs(tmp_path)
     assert sorted(actual) == sorted(expected)
     assert [k for k in sorted(expected) if actual[k] != expected[k]] == []
+
+
+def test_the_json_writer_prints_json_dumps_on_every_golden_payload(
+        tmp_path, monkeypatch):
+    payloads = []
+    emit = cli._emit_json
+
+    def recording(payload, out):
+        payloads.append(payload)
+        emit(payload, out)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    labels = golden_outputs(tmp_path)
+    assert len(payloads) == sum(label.endswith(" --json") for label in labels)
+    for payload in payloads:
+        out = io.StringIO()
+        emit(payload, out)
+        assert out.getvalue() == json.dumps(payload, indent=2,
+                                            sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------

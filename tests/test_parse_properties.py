@@ -5,9 +5,11 @@
 properties that construction proves instead of checking (see
 ``Triangulation._compute_edge_classes`` and ``links.build_all_links``): no
 edge class meets itself reversed, every link has even Euler characteristic,
-and every link's dual tree spans it.  The oracle computes the first two
-from the raw document, and the vertex classes by orbit closure of its corner
-gluings, which the package never reads: the link pass decides them.
+and every link's dual tree spans it; and its edge walk must give the edge
+classes and directions of the union-find it replaced.  The oracle computes
+the first two from the raw document, and the vertex classes by orbit
+closure of its corner gluings, which the package never reads: the link pass
+decides them.
 """
 
 import copy
@@ -23,7 +25,8 @@ from quadlift.triangulation import FACE_CORNERS
 
 import generators as gen
 from conftest import load_doc
-from oracles import dual_tree, link_invariants, suspended_surface
+from oracles import (dual_tree, link_invariants, suspended_surface,
+                     union_find_edge_classes)
 
 BASES = tuple(
     [load_doc(name + ".json") for name in ("double_tet", "fig8", "three_tet",
@@ -135,6 +138,8 @@ def assert_vertex_classes(tri, classes):
 def assert_proved_invariants(doc, tri):
     reversed_edges, chis = link_invariants(doc)
     assert reversed_edges == []
+    classes, directions, _ = union_find_edge_classes(tri)
+    assert (tri.edge_class_at, tri.edge_direction_at) == (classes, directions)
     assert_vertex_classes(tri, set(chis))
     for vc, link in zip(tri.vertex_classes, tri.links):
         assert chis[frozenset(vc.members)] == link.euler_characteristic

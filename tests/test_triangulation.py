@@ -3,12 +3,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlift import TriangulationError, parse_triangulation
-from quadlift.triangulation import FACE_CORNERS
-from conftest import load_doc
+from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
+from conftest import FAMILY_DOCS, load_doc
 from oracles import (brute_force_class_counts, edge_class, edge_direction,
-                     flip_edge, serialize, suspended_surface, to_text)
+                     flip_edge, random_isomorphism, relabel_doc, serialize,
+                     suspended_surface, to_text, union_find_edge_classes)
 
 import generators as gen
 
@@ -172,6 +175,46 @@ def test_flip_edge_reverses_one_class(fig8):
             == [(e.tail_local, e.head_local, e.tail_vertex, e.head_vertex)
                 for e in fig8.edge_classes])
     assert again.arc_discs == fig8.arc_discs
+
+
+def assert_edge_classes_are_the_union_find(tri, flipped=None):
+    """``edge_class_at``, ``edge_direction_at`` and the EdgeClass objects
+    are those of the union-find of the oracles, with edge class ``flipped``
+    reversed."""
+    classes, directions, members = union_find_edge_classes(tri)
+    directions = tuple(-d if e == flipped else d
+                       for e, d in zip(classes, directions))
+    assert tri.edge_class_at == classes
+    assert tri.edge_direction_at == directions
+    assert len(tri.edge_classes) == len(members)
+    for e, (edge, slots) in enumerate(zip(tri.edge_classes, members)):
+        i, k = divmod(slots[0], 6)
+        a, b = LOCAL_EDGES[k][::directions[slots[0]]]
+        assert (edge.index, edge.rep, edge.slots) == (
+            e, (i,) + LOCAL_EDGES[k], tuple(slots))
+        assert (edge.tail_local, edge.head_local) == (a, b)
+        assert (edge.tail_vertex, edge.head_vertex) == (
+            tri.vertex_class_at[4 * i + a], tri.vertex_class_at[4 * i + b])
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in FAMILY_DOCS],
+                         ids=[name for name, _ in FAMILY_DOCS])
+def test_the_edge_walk_is_the_union_find(doc):
+    tri = parse_triangulation(doc)
+    assert_edge_classes_are_the_union_find(tri)
+    last = len(tri.edge_classes) - 1
+    for e in sorted({0, last // 2, last}):
+        assert_edge_classes_are_the_union_find(flip_edge(tri, e), e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from(FAMILY_DOCS), st.integers(0, 999))
+def test_the_edge_walk_is_the_union_find_on_relabelled_documents(named, seed):
+    _, doc = named
+    tet_perm, vertex_perms = random_isomorphism(doc["tets"],
+                                                random.Random(seed))
+    assert_edge_classes_are_the_union_find(
+        parse_triangulation(relabel_doc(doc, tet_perm, vertex_perms)))
 
 
 def test_disconnected_input_accepted():
