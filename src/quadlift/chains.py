@@ -18,44 +18,38 @@ normal at the edge midpoint, outward face normal, edge direction); the test
 suite checks the rule against that determinant computation directly.  The
 rule is applied once per arc, by the pass that builds the vertex links
 (``links.build_all_links``, from a table of the parities), which records the
-discs meeting every arc in ``tri.arc_discs``; the boundary matrix reads that
-table.
+discs meeting every arc in ``tri.arc_discs``: that table is the boundary
+matrix, one row per arc.
 """
 
 
 class BoundaryMatrix:
-    """The boundary matrix from discs to arcs (3*|faces| rows, 7t columns)
-    in five flat sequences, one entry per arc: row ``arc`` is s * (tri_a -
-    tri_b + quad_a - quad_b) for the arc's entry of ``tri.arc_discs``, the
-    quads as disc indices; two equal discs cancel."""
+    """The boundary matrix from discs to arcs (3*|faces| rows, 7t columns),
+    read from the arc table without a copy: row ``arc`` is s * (tri_a -
+    tri_b + quad_a - quad_b) for the arc's entry (s, tri_a, tri_b, quad_a,
+    quad_b) of ``tri.arc_discs``, all four disc indices; two equal discs
+    cancel."""
 
-    __slots__ = ("nrows", "ncols", "signs", "tri_a", "tri_b", "quad_a",
-                 "quad_b")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, tri):
         self.nrows = tri.arc_count
         self.ncols = tri.disc_count
-        self.signs, self.tri_a, self.tri_b, quad_a, quad_b = zip(
-            *tri.arc_discs)
-        # quad index 3i+k-1 is disc 7i+3+k
-        self.quad_a = [q + 4 * (q // 3) + 4 for q in quad_a]
-        self.quad_b = [q + 4 * (q // 3) + 4 for q in quad_b]
+        self.rows = tri.arc_discs
 
     def apply(self, vec):
         """Matrix-vector product for a dense integer vector."""
         if len(vec) != self.ncols:
             raise ValueError("vector length %d != %d columns"
                              % (len(vec), self.ncols))
-        return [s * (vec[a] - vec[b] + vec[c] - vec[d]) for s, a, b, c, d
-                in zip(self.signs, self.tri_a, self.tri_b, self.quad_a,
-                       self.quad_b)]
+        return [s * (vec[a] - vec[b] + vec[c] - vec[d])
+                for s, a, b, c, d in self.rows]
 
     @property
     def columns(self):
         """Column j as the list of its nonzero (arc, value), arcs ascending."""
         columns = [[] for _ in range(self.ncols)]
-        for arc, (s, a, b, c, d) in enumerate(zip(
-                self.signs, self.tri_a, self.tri_b, self.quad_a, self.quad_b)):
+        for arc, (s, a, b, c, d) in enumerate(self.rows):
             for x, y in ((a, b), (c, d)):
                 if x != y:
                     columns[x].append((arc, s))
@@ -69,16 +63,12 @@ class BoundaryMatrix:
 
     @property
     def nnz(self):
-        return 2 * sum((a != b) + (c != d) for a, b, c, d in zip(
-            self.tri_a, self.tri_b, self.quad_a, self.quad_b))
+        return 2 * sum((a != b) + (c != d) for _, a, b, c, d in self.rows)
 
 
 def boundary_matrix(tri):
-    """The boundary matrix of ``tri``, cached on the triangulation."""
-    cached = tri._cache.get("boundary")
-    if cached is None:
-        cached = tri._cache["boundary"] = BoundaryMatrix(tri)
-    return cached
+    """The boundary matrix of ``tri``: a view of ``tri.arc_discs``."""
+    return BoundaryMatrix(tri)
 
 
 def apply_boundary(tri, chain2):

@@ -168,7 +168,8 @@ def _cmd_validate(args, out):
             "valid": True,
             "tets": tri.tet_count,
             "vertex_classes": len(tri.vertex_classes),
-            "edge_classes": len(tri.edge_classes),
+            # classes are numbered 0..E-1 by first slot
+            "edge_classes": max(tri.edge_class_at) + 1,
             "face_classes": 2 * tri.tet_count,
             "orientations": list(tri.tet_orientation),
             "links": _link_summaries(tri),

@@ -17,15 +17,16 @@ from .triangulation import (ARC_EDGES, FACE_CORNERS, LOCAL_EDGES, PERMS,
 
 
 def _arc_rows(f, sigma):
-    """Per corner v of face f glued by sigma: (v, sigma[v], the quad
-    offsets k-1 through the arc on each side, the local edge of its edge
-    {x, y}, the sign rule of ``chains`` for orientation +1 and x->y, and the
-    local edges of its end cells, each with +1 when v is the lower end)."""
+    """Per corner v of face f glued by sigma: (v, sigma[v], the disc
+    offsets 3+k of the quads Qk through the arc on each side, the local
+    edge of its edge {x, y}, the sign rule of ``chains`` for orientation +1
+    and x->y, and the local edges of its end cells, each with +1 when v is
+    the lower end)."""
     rows = []
     for v in FACE_CORNERS[f]:
         x, y, k, kx, ky = ARC_EDGES[f][v]
-        rows.append((v, sigma[v], quad_type_through(f, v) - 1,
-                     quad_type_through(sigma[f], sigma[v]) - 1,
+        rows.append((v, sigma[v], quad_type_through(f, v) + 3,
+                     quad_type_through(sigma[f], sigma[v]) + 3,
                      k, perm_sign((v, x, y, f)),
                      kx, 1 if v < x else -1, ky, 1 if v < y else -1))
     return tuple(rows)
@@ -105,12 +106,13 @@ def build_all_links(tri):
     The same pass decides which discs and 0-cells meet each arc, and with
     what sign, for the whole triangulation.  It stores ``tri.arc_ends[arc]
     = (tail, head)`` and ``tri.arc_discs[arc] = (s, tri_a, tri_b, quad_a,
-    quad_b)``: the triangle disc ``tri_a`` and the quad
-    ``quad_a`` (an index 3i+k-1 of the quad vector) of the representative
-    side of the arc's face have coefficient ``s`` on the arc, and those of
-    the other side, ``tri_b`` and ``quad_b``, have ``-s``.  On a face glued
-    to another face of its own tetrahedron the two triangles can be one
-    disc, whose terms cancel; the two quads are always different types.
+    quad_b)``: the triangle disc ``tri_a`` and the quad disc ``quad_a``
+    (7i+3+k for Qk of tetrahedron i) of the representative side of the
+    arc's face have coefficient ``s`` on the arc, and those of the other
+    side, ``tri_b`` and ``quad_b``, have ``-s``; this table is the boundary
+    matrix, a row per arc (``chains.BoundaryMatrix``).  On a face glued to
+    another face of its own tetrahedron the two triangles can be one disc,
+    whose terms cancel; the two quads are always different types.
 
     The forest visits the triangles in descending order, so each tree grows
     breadth first from its link's last triangle, through each disc's arcs
@@ -158,7 +160,7 @@ def build_all_links(tri):
                 s = -s
             s *= o
             d, nb = 7 * i + v, 7 * j + image
-            arc_discs.append((s, d, nb, 3 * i + quad_a, 3 * j + quad_b))
+            arc_discs.append((s, d, nb, 7 * i + quad_a, 7 * j + quad_b))
             if d != nb:
                 sides[3 * d + fill[d]] = sides[3 * nb + fill[nb]] = arc
                 fill[d] += 1

@@ -19,15 +19,19 @@ restricted to each vertex link, bounds there.  Three outcomes:
 Every arc of a link lies on exactly two link triangles with opposite signs,
 so "bounds, and of what?" is a potential difference on the link's dual
 graph.  With d the boundary map, ``lift`` makes one pass per stage over the
-whole triangulation, so a query costs O(t): the quad boundary b
-(:func:`quad_boundary`); one walk over the dual forest of the links
-(``tri.forest``), with w = 0 at each root, and one filter that keeps the
-nonzero residuals r = b + dw on the arcs outside the trees
+whole triangulation, so a query costs O(t): the quad boundary b, the
+quad half of the rows of the boundary matrix ``tri.arc_discs`` applied to
+the quad chain (:func:`quad_boundary`); one walk over the dual forest of
+the links (``tri.forest``), with w = 0 at each root, and one filter that
+keeps the nonzero residuals r = b + dw on the arcs outside the trees
 (:func:`boundary_test`); the cycle test of each link on the 0-cell sums of
 its residuals (:func:`cycle_imbalance`); and the shift of each link's
 minimum to 0.  As ddw = 0, r has the 0-cell sums of b, so b is a cycle on a
 link exactly when r is; as the tree fixes w, b bounds exactly when r = 0,
 over the integers too (H1 of a closed orientable surface is torsion-free).
+A Normal lift is then checked against its rows: the walk and the shift
+write only triangle entries, so dcoords = 0 exactly when the triangle half
+of each row gives -b, and coords >= 0.
 """
 
 from dataclasses import dataclass, field
@@ -95,12 +99,10 @@ def quad_part(tri, chain2):
 
 
 def quad_boundary(tri, q):
-    """The boundary b of the quad chain, indexed by arc: s * (q[quad_a] -
-    q[quad_b]) for each arc's entry of ``tri.arc_discs``."""
-    if len(q) != tri.quad_count:
-        raise ValueError("expected %d quad coordinates, got %d"
-                         % (tri.quad_count, len(q)))
-    return [s * (q[a] - q[b]) for s, _, _, a, b in tri.arc_discs]
+    """The boundary b of the quad chain c, indexed by arc: s * (c[quad_a] -
+    c[quad_b]) for each arc's row of the boundary matrix ``tri.arc_discs``."""
+    chain = quad_chain(tri, q)
+    return [s * (chain[a] - chain[b]) for s, _, _, a, b in tri.arc_discs]
 
 
 def boundary_test(tri, b, w):
@@ -161,9 +163,10 @@ def lift(tri, q):
     if not report.ok:
         raise ValueError("inadmissible quadrilateral coordinates: %r" % (report,))
 
-    b = quad_boundary(tri, q)
+    rows = chains.boundary_matrix(tri).rows
     # the triangle entries of coords start at 0, so every root's is 0
     coords = quad_chain(tri, q)
+    b = [s * (coords[x] - coords[y]) for s, _, _, x, y in rows]
     residual = boundary_test(tri, b, coords)
     cycle_failures = []
     for vertex in range(len(tri.links)):
@@ -182,8 +185,10 @@ def lift(tri, q):
         if m:
             for d in link.triangles:
                 coords[d] -= m
-    residue = chains.apply_boundary(tri, coords)
-    if any(residue) or min(coords) < 0:
+    # the walk and the shift write only triangle entries, so the quad half
+    # of the boundary of coords is still b, and this is exactly dcoords = 0
+    if ([s * (coords[y] - coords[x]) for s, x, y, _, _ in rows] != b
+            or min(coords) < 0):
         raise AssertionError("canonical lift failed its own postconditions")
     return LiftResult(NORMAL, coords, dict(enumerate(shift)))
 

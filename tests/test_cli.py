@@ -44,6 +44,17 @@ def test_validate_json_mode():
     assert payload["links"][0]["chi"] == 0
 
 
+def test_validate_json_counts_edge_classes_without_building_them(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("EdgeClass built")
+
+    monkeypatch.setattr(quadlift.triangulation, "EdgeClass", refuse)
+    code, out, _ = invoke("validate", "--tri", path("fig8.json"), "--json")
+    assert code == 0
+    assert json.loads(out)["edge_classes"] == 2
+
+
 def test_links_line_format():
     code, out, _ = invoke("links", "--tri", path("double_tet.json"))
     assert code == 0

@@ -167,6 +167,13 @@ def local_tree(link):
                   for arc, d, nb, s in entries] for entries in link.tree)
 
 
+def quad_vector_rows(arc_discs):
+    """``arc_discs`` with quad discs 7i+3+k as quad-vector indices 3i+k-1:
+    the form the rows had when the digests were made."""
+    return [(s, a, b, c - 4 * (c // 7) - 4, d - 4 * (d // 7) - 4)
+            for s, a, b, c, d in arc_discs]
+
+
 def parse_state(tri):
     """Every field and accessor result that construction decides, as JSON."""
     t = tri.tet_count
@@ -192,7 +199,7 @@ def parse_state(tri):
         "end_cell": [end_cell(tri, i, a, b) for i in range(t)
                      for a in range(4) for b in range(4) if a != b],
         "serialize": serialize(tri),
-        "arc_discs": tri.arc_discs,
+        "arc_discs": quad_vector_rows(tri.arc_discs),
         "links": [(link.vertex, link.triangles, link.arcs, link.cells,
                    sorted(link.arc_cells.items()), link.euler_characteristic,
                    link.genus, link.is_sphere, local_tree(link))

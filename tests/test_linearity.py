@@ -8,7 +8,8 @@ parse and for a lift of stacked spheres, fig8 covers and suspended
 surfaces, each at three doubling sizes, and asserts that the opcodes per
 tetrahedron of each family stay within ``BAND`` (at most 5% was measured
 on Python 3.11).  It compares ratios, not counts, which differ between
-Python versions.
+Python versions.  It also asserts that a first lift on a new parse runs the
+opcodes of a second one, so that nothing is built on first use.
 
 Two limits.  Work done in C is not counted: ``json.loads``, ``list.sort``,
 ``min``, the ``itemgetter`` gathers; the sorts of ``links.build_all_links``
@@ -32,6 +33,9 @@ PACKAGE = os.path.dirname(os.path.abspath(quadlift.__file__)) + os.sep
 
 # the largest per-tetrahedron count of a family over its smallest
 BAND = 1.10
+
+# opcodes by which a first lift may differ from a second one
+HANDFUL = 10
 
 # 50, 101 and 200 tetrahedra; 16, 32 and 64; 16, 32 and 64
 FAMILIES = {
@@ -86,6 +90,17 @@ def test_opcodes_per_tetrahedron_stay_in_band(family):
         query.append(count / t)
     for name, per_tet in (("parse", parse), ("lift", query)):
         assert max(per_tet) <= BAND * min(per_tet), (name, per_tet)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_first_lift_builds_nothing(family):
+    """A first lift on a new parse runs the opcodes of a second lift of the
+    same vector, within a handful: it builds no cache on first use."""
+    tri = parse_triangulation(FAMILIES[family][0])
+    q = gen.edge_link_vectors(tri)[0]
+    first, _ = count_opcodes(lift, tri, q)
+    second, _ = count_opcodes(lift, tri, q)
+    assert abs(first - second) <= HANDFUL, (first, second)
 
 
 def test_the_counter_restores_the_tracer_before_it():

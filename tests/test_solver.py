@@ -4,6 +4,7 @@ import random
 import pytest
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, verify_normal
+from quadlift import solver
 from quadlift.chains import apply_boundary
 from quadlift.solver import (check_admissible, load_normal_coords, load_quads, quad_boundary,
                              quad_chain, quad_part)
@@ -272,6 +273,25 @@ def test_lift_postconditions(sphere_fixtures):
             assert not any(apply_boundary(tri, x))
             for link in tri.links:
                 assert min(x[d] for d in link.triangles) == 0
+
+
+def test_lift_refuses_a_potential_that_fails_its_check(three_tet,
+                                                      monkeypatch):
+    # the check at the end of lift is live: one tree step's potential off
+    # by one leaves dcoords != 0 on its arc, and lift raises
+    walk = solver.boundary_test
+
+    def corrupted(tri, b, w):
+        residual = walk(tri, b, w)
+        steps, _ = tri.forest
+        w[steps[0][2]] += 1
+        return residual
+
+    q = [0, 0, 0, 0, 0, 1, 0, 1, 0]
+    assert lift(three_tet, q).classification == NORMAL
+    monkeypatch.setattr(solver, "boundary_test", corrupted)
+    with pytest.raises(AssertionError):
+        lift(three_tet, q)
 
 
 def test_uniqueness_structure(sphere_fixtures):
