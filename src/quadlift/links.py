@@ -10,30 +10,60 @@ in one pass.  Every link is connected by definition and orientable (see
 :func:`build_all_links`), so the Euler characteristic fixes its type.
 """
 
+from functools import partial
+from itertools import product
 from operator import itemgetter
 
-from .triangulation import (ARC_EDGES, FACE_CORNERS, LOCAL_EDGES, PERMS,
-                            VertexClass, perm_sign, quad_type_through)
+from .triangulation import (FACE_CORNERS, PERMS, VertexClass, _slot,
+                            edge_ends, perm_sign, quad_type_through)
 
 
 def _arc_rows(f, sigma):
     """Per corner v of face f glued by sigma: (v, sigma[v], the disc
     offsets 3+k of the quads Qk through the arc on each side, the local
-    edge of its edge {x, y}, the sign rule of ``chains`` for orientation +1
-    and x->y, and the local edges of its end cells, each with +1 when v is
-    the lower end)."""
+    edge of the face's edge {x, y} opposite v, and the sign rule of
+    ``chains`` for orientation +1 and x->y)."""
     rows = []
     for v in FACE_CORNERS[f]:
-        x, y, k, kx, ky = ARC_EDGES[f][v]
+        x, y = (u for u in FACE_CORNERS[f] if u != v)
         rows.append((v, sigma[v], quad_type_through(f, v) + 3,
                      quad_type_through(sigma[f], sigma[v]) + 3,
-                     k, perm_sign((v, x, y, f)),
-                     kx, 1 if v < x else -1, ky, 1 if v < y else -1))
+                     _slot(x, y), perm_sign((v, x, y, f))))
     return tuple(rows)
 
 
 # _ARC_ROWS[24 * f + p]: the rows of face f glued by PERMS[p].
 _ARC_ROWS = tuple(_arc_rows(f, sigma) for f in range(4) for sigma in PERMS)
+
+
+def _end_row(f, v):
+    """(k, kx, lx, ky, ly): the local edges of {x, y}, {v, x} and {v, y} for
+    the arc of face f linking v, with lx, ly +1 when v is the lower end."""
+    x, y = (u for u in FACE_CORNERS[f] if u != v)
+    return (_slot(x, y), _slot(v, x), 1 if v < x else -1,
+            _slot(v, y), 1 if v < y else -1)
+
+
+# _END_ROWS[3 * v + k - 1]: the _end_row of the one arc linking v that Qk
+# meets; the lookup fails at import unless the 12 arcs give 12 keys.
+_BY_QUAD = {3 * v + quad_type_through(f, v) - 1: _end_row(f, v)
+            for f in range(4) for v in FACE_CORNERS[f]}
+_END_ROWS = tuple(_BY_QUAD[n] for n in range(12))
+
+
+def arc_ends(rows, edge_class, edge_dir, cell, arc):
+    """The (tail, head) 0-cells of an arc, whose triangle 7i+v and quad
+    7i+3+k in its row of ``rows`` name its face; ``cell`` holds one tuple
+    (edge class, end) per 0-cell.  ``tri.arc_ends(arc)`` binds the tables."""
+    _, d, _, quad, _ = rows[arc]
+    i, v = divmod(d, 7)
+    k, kx, lx, ky, ly = _END_ROWS[3 * v + quad - 7 * i - 4]
+    k, kx, ky = 6 * i + k, 6 * i + kx, 6 * i + ky
+    # the cell on edge {v, x} is its tail (end 0) when v is the tail,
+    # that is when the edge's direction equals lx
+    tail = cell[2 * edge_class[kx] + ((1 - edge_dir[kx] * lx) >> 1)]
+    head = cell[2 * edge_class[ky] + ((1 - edge_dir[ky] * ly) >> 1)]
+    return (tail, head) if edge_dir[k] == 1 else (head, tail)
 
 
 class VertexLink:
@@ -42,7 +72,8 @@ class VertexLink:
     * ``triangles``: disc indices of the link's normal triangles, sorted.
     * ``arcs``: global arc indices of its 1-cells, sorted.
     * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head.
-    * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc.
+    * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc, by
+      ``ends``, the triangulation's ``arc_ends``; built on first use.
     * ``gather(w)``: the tuple of a disc-indexed ``w`` at ``triangles``.
     * ``tree``: (steps, closing), the slices ``span`` of the dual forest
       ``forest`` of :func:`build_all_links` that are the link's tree,
@@ -50,36 +81,49 @@ class VertexLink:
       arc from triangle disc d to disc nb, where s is the arc's coefficient
       in the boundary of d; the steps reach every triangle.  A closing
       entry is an arc outside the tree in the same form; an arc whose two
-      sides lie on one triangle is closing with d = nb and s = 0.  Arcs and
-      discs are global indices.
+      sides lie on one triangle is closing with d = nb and s = 0.  Each arc
+      is one entry; arcs and discs are global indices.
 
     The two link triangles along an arc, and their signs on it, are the
-    arc's entry of the triangulation's ``arc_discs``.
+    arc's entry of the triangulation's ``arc_discs``.  A link holds no
+    reference to the triangulation.
     """
 
-    __slots__ = ("vertex", "triangles", "arcs", "cells", "arc_cells",
-                 "euler_characteristic", "genus", "is_sphere", "gather",
-                 "forest", "span")
+    __slots__ = ("vertex", "triangles", "cells", "euler_characteristic",
+                 "genus", "is_sphere", "gather", "forest", "span", "ends",
+                 "_arc_cells")
 
-    def __init__(self, vertex, triangles, arcs, cells, arc_cells, forest,
-                 span):
+    def __init__(self, vertex, triangles, cells, forest, span, ends):
         self.vertex = vertex
         self.triangles = triangles
-        self.arcs = arcs
         self.cells = cells
-        self.arc_cells = arc_cells
-        chi = len(cells) - len(arcs) + len(triangles)
+        start, end, first, last = span
+        chi = len(cells) - (end - start + last - first) + len(triangles)
         self.euler_characteristic = chi
         self.genus = (2 - chi) // 2
         self.is_sphere = chi == 2
         self.gather = itemgetter(*triangles)
         self.forest = forest
         self.span = span
+        self.ends = ends
+        self._arc_cells = None
 
     @property
     def tree(self):
         (steps, closing), (start, end, first, last) = self.forest, self.span
         return steps[start:end], closing[first:last]
+
+    @property
+    def arc_cells(self):
+        if self._arc_cells is None:
+            steps, closing = self.tree
+            self._arc_cells = {arc: self.ends(arc) for arc in sorted(
+                [entry[0] for entry in steps + closing])}
+        return self._arc_cells
+
+    @property
+    def arcs(self):
+        return tuple(self.arc_cells)
 
     def __repr__(self):
         return "VertexLink(vertex %d, %d triangles, chi %d)" % (
@@ -103,16 +147,17 @@ def build_all_links(tri):
     arc give it opposite signs (``s`` and ``-s`` below), as every gluing
     reverses the face orientation.
 
-    The same pass decides which discs and 0-cells meet each arc, and with
-    what sign, for the whole triangulation.  It stores ``tri.arc_ends[arc]
-    = (tail, head)`` and ``tri.arc_discs[arc] = (s, tri_a, tri_b, quad_a,
-    quad_b)``: the triangle disc ``tri_a`` and the quad disc ``quad_a``
-    (7i+3+k for Qk of tetrahedron i) of the representative side of the
-    arc's face have coefficient ``s`` on the arc, and those of the other
-    side, ``tri_b`` and ``quad_b``, have ``-s``; this table is the boundary
-    matrix, a row per arc (``chains.BoundaryMatrix``).  On a face glued to
-    another face of its own tetrahedron the two triangles can be one disc,
-    whose terms cancel; the two quads are always different types.
+    The same pass decides which discs meet each arc, and with what sign,
+    for the whole triangulation.  It stores ``tri.arc_discs[arc] = (s,
+    tri_a, tri_b, quad_a, quad_b)``: the triangle disc ``tri_a`` and the
+    quad disc ``quad_a`` (7i+3+k for Qk of tetrahedron i) of the
+    representative side of the arc's face have coefficient ``s`` on the
+    arc, and those of the other side, ``tri_b`` and ``quad_b``, have
+    ``-s``; this table is the boundary matrix, a row per arc
+    (``chains.BoundaryMatrix``).  On a face glued to another face of its own
+    tetrahedron the two triangles can be one disc, whose terms cancel; the
+    two quads are always different types.  The ends of an arc, each link's
+    ``arcs`` and its ``arc_cells`` are built on first use (:func:`arc_ends`).
 
     The forest visits the triangles in descending order, so each tree grows
     breadth first from its link's last triangle, through each disc's arcs
@@ -126,45 +171,31 @@ def build_all_links(tri):
     """
     edge_class, edge_dir = tri.edge_class_at, tri.edge_direction_at
     orientation, perm = tri.tet_orientation, tri._perm
-    # first[e]: the first member 6i+k of edge class e, which numbers them
-    first = []
-    for x, e in enumerate(edge_class):
-        if e == len(first):
-            first.append(x)
-    # one tuple per 0-cell (edge class, end), shared by every arc there
-    cell = [(e, end) for e in range(len(first)) for end in (0, 1)]
-    tri.arc_ends = ends = []   # the (tail, head) 0-cells of each arc
+    first = tri._edge_first   # first[e]: the first member 6i+k of class e
+    # one tuple per 0-cell (edge class, end), shared by every link and arc
+    cell = list(product(range(len(first)), (0, 1)))
     # sides[3d:3d + fill[d]]: the arcs of disc d, in index order
     sides = [0] * (21 * tri.tet_count)
     fill = [0] * (7 * tri.tet_count)
     arc_discs = []
+    loops = []     # (arc, d, d, 0) for an arc whose two sides lie on disc d
     # face classes in the order of their representative slots x < y
     for x, y in enumerate(tri._partner):
         if y < x:
             continue
-        i, j = x >> 2, y >> 2
-        o = orientation[i]
-        for (v, image, quad_a, quad_b, k, s, kx, lx, ky, ly
-             ) in _ARC_ROWS[24 * (x & 3) + perm[x]]:
+        i = x >> 2
+        di, dj, ki, o = 7 * i, 7 * (y >> 2), 6 * i, orientation[i]
+        for v, image, qa, qb, k, s in _ARC_ROWS[24 * (x & 3) + perm[x]]:
             arc = len(arc_discs)
-            kx += 6 * i
-            ky += 6 * i
-            # the cell on edge {v, x} is its tail (end 0) when v is the tail,
-            # that is when the edge's direction equals lx
-            cell_x = cell[2 * edge_class[kx] + ((1 - edge_dir[kx] * lx) >> 1)]
-            cell_y = cell[2 * edge_class[ky] + ((1 - edge_dir[ky] * ly) >> 1)]
-            if edge_dir[6 * i + k] == 1:
-                ends.append((cell_x, cell_y))
-            else:
-                ends.append((cell_y, cell_x))
-                s = -s
-            s *= o
-            d, nb = 7 * i + v, 7 * j + image
-            arc_discs.append((s, d, nb, 7 * i + quad_a, 7 * j + quad_b))
+            d, nb = di + v, dj + image
+            arc_discs.append((s * o * edge_dir[ki + k], d, nb, di + qa,
+                              dj + qb))
             if d != nb:
                 sides[3 * d + fill[d]] = sides[3 * nb + fill[nb]] = arc
                 fill[d] += 1
                 fill[nb] += 1
+            else:
+                loops.append((arc, d, d, 0))
     tri.arc_discs = arc_discs = tuple(arc_discs)
     used = [False] * len(arc_discs)
     seen = [False] * len(fill)
@@ -203,30 +234,24 @@ def build_all_links(tri):
         classes.append(VertexClass(c, slots))
     tri.vertex_classes = tuple(classes)
     tri.vertex_class_at = vertex_class = tuple(vertex_class)
-    arcs = [[] for _ in trees]
     closings = [[] for _ in trees]
-    for arc, (_, d, nb, _, _) in enumerate(arc_discs):
-        c = vertex_class[d - 3 * (d // 7)]
-        arcs[c].append(arc)
-        if d == nb:
-            closings[c].append((arc, d, d, 0))
-    # edge class e runs from a to b on its first member 6i+k: the ends of
-    # LOCAL_EDGES[k], reversed where its direction there is -1
+    for entry in loops:   # disc 7i+v is the triangle of slot 4i+v
+        closings[vertex_class[entry[1] - 3 * (entry[1] // 7)]].append(entry)
     cells = [[] for _ in trees]
     for e, x in enumerate(first):
-        a, b = LOCAL_EDGES[x % 6][::edge_dir[x]]
-        cells[vertex_class[x // 6 * 4 + a]].append(cell[2 * e])
-        cells[vertex_class[x // 6 * 4 + b]].append(cell[2 * e + 1])
+        tail, head = edge_ends(x, edge_dir[x])
+        cells[vertex_class[tail]].append(cell[2 * e])
+        cells[vertex_class[head]].append(cell[2 * e + 1])
     closing = []
     tri.forest = forest = (steps, closing)
+    tri.arc_ends = ends = partial(arc_ends, arc_discs, edge_class, edge_dir,
+                                  cell)
     links = []
     for c, (triangles, start, end, tree_closing) in enumerate(trees):
         opening = len(closing)
         closing += closings[c] + tree_closing
-        links.append(VertexLink(c, tuple(triangles), tuple(arcs[c]),
-                                tuple(cells[c]),
-                                {arc: ends[arc] for arc in arcs[c]}, forest,
-                                (start, end, opening, len(closing))))
+        links.append(VertexLink(c, tuple(triangles), tuple(cells[c]), forest,
+                                (start, end, opening, len(closing)), ends))
     return tuple(links)
 
 

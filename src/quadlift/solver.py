@@ -124,10 +124,11 @@ def boundary_test(tri, b, w):
 
 def cycle_imbalance(tri, residual, vertex):
     """The nonzero sums of the residuals of ``vertex`` at their end 0-cells,
-    which are those of b: none exactly when b is a 1-cycle on its link."""
+    which are those of b: none exactly when b is a 1-cycle on its link.  The
+    ends are computed on first use, only for the arcs with residuals."""
     sums = {}
     for arc, r in residual.get(vertex, ()):
-        tail, head = tri.arc_ends[arc]
+        tail, head = tri.arc_ends(arc)
         sums[head] = sums.get(head, 0) + r
         sums[tail] = sums.get(tail, 0) - r
     return {cell: s for cell, s in sorted(sums.items()) if s} if sums else sums

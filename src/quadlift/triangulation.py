@@ -55,6 +55,14 @@ def _slot(a, b):
     return _EDGE_SLOT[(a, b) if a < b else (b, a)]
 
 
+def edge_ends(x, direction):
+    """The slots 4i+a and 4i+b of the tail and head of an edge class with
+    member x = 6i+k of direction ``direction`` there: the class runs along
+    LOCAL_EDGES[k] where that is +1, and back where it is -1."""
+    a, b = LOCAL_EDGES[x % 6][::direction]
+    return x // 6 * 4 + a, x // 6 * 4 + b
+
+
 def _edge_name(x):
     """(tet, a, b) of the local edge {a, b} (a < b) at flat index x."""
     i, k = divmod(x, 6)
@@ -88,19 +96,6 @@ _STEP = tuple(None if c in LOCAL_EDGES[k] else _step(k, c, sigma)
               for k in range(6) for c in range(4) for sigma in PERMS)
 # the first face holding local edge k omits _FIRST_FACE[k]
 _FIRST_FACE = tuple(min({0, 1, 2, 3}.difference(pair)) for pair in LOCAL_EDGES)
-
-
-def _arc_edges(f, v):
-    x, y = (u for u in FACE_CORNERS[f] if u != v)
-    return x, y, _slot(x, y), _slot(v, x), _slot(v, y)
-
-
-# ARC_EDGES[f][v] = (x, y, k, kx, ky) for the arc of face f linking its
-# corner v: the edge {x, y} of the face opposite v (x < y) is local edge k,
-# and the edges {v, x} and {v, y}, which hold the arc's end cells, are kx
-# and ky.
-ARC_EDGES = tuple({v: _arc_edges(f, v) for v in FACE_CORNERS[f]}
-                  for f in range(4))
 
 
 def quad_type_through(face_slot, corner):
@@ -189,15 +184,14 @@ class EdgeClass:
                  "tail_vertex", "head_vertex")
 
     def __init__(self, tri, index, slots):
-        x = slots[0]   # 6i+k: the class runs along LOCAL_EDGES[k], or back
-        i4 = x // 6 * 4
+        x = slots[0]
+        tail, head = edge_ends(x, tri.edge_direction_at[x])
         self.index = index
         self.rep = _edge_name(x)
         self.slots = slots
-        a, b = LOCAL_EDGES[x % 6][::tri.edge_direction_at[x]]
-        self.tail_local, self.head_local = a, b
-        self.tail_vertex = tri.vertex_class_at[i4 + a]
-        self.head_vertex = tri.vertex_class_at[i4 + b]
+        self.tail_local, self.head_local = tail & 3, head & 3
+        self.tail_vertex = tri.vertex_class_at[tail]
+        self.head_vertex = tri.vertex_class_at[head]
 
     @property
     def members(self):
@@ -240,9 +234,10 @@ class Triangulation:
     computes the orientation signs, the edge classes with their directions
     (``edge_class_at``, ``edge_direction_at``) and, in
     ``links.build_all_links``, the vertex classes, their links and
-    ``forest``, and the discs and 0-cells of each arc (``arc_discs``,
-    ``arc_ends``).  The ``EdgeClass`` and ``FaceClass`` objects
-    (``edge_classes``, ``face_classes``) are built on first use.
+    ``forest``, and the discs of each arc (``arc_discs``).  What only a
+    report or a test reads is built on first use: the ends of an arc
+    (``arc_ends(arc)``), each link's ``arcs`` and ``arc_cells``, and the
+    objects of ``edge_classes`` and ``face_classes``.
     """
 
     def __init__(self, doc):
@@ -382,12 +377,13 @@ class Triangulation:
         n = 6 * self.tet_count
         edge_class = [-1] * n
         direction = [1] * n
-        e = 0
+        first = []   # first[e]: the first slot of class e
         for start in range(n):
             if edge_class[start] >= 0:
                 continue
             i, k = divmod(start, 6)
-            c, d, x = _FIRST_FACE[k], 1, start
+            c, d, x, e = _FIRST_FACE[k], 1, start, len(first)
+            first.append(start)
             while True:
                 edge_class[x] = e
                 direction[x] = d
@@ -398,7 +394,7 @@ class Triangulation:
                 if x == start:
                     break
                 d *= rel
-            e += 1
+        self._edge_first = first
         self.edge_class_at = tuple(edge_class)
         self.edge_direction_at = tuple(direction)
 

@@ -852,8 +852,12 @@ def build_link(tri, vertex):
 
     stub = SimpleNamespace(triangles=triangles, arcs=arcs)
     steps, closing = dual_tree(stub, len(triangles) - 1, tri.arc_discs)
-    return VertexLink(vertex, triangles, arcs, cells, arc_cells,
-                      (steps, closing), (0, len(steps), 0, len(closing)))
+    link = VertexLink(vertex, triangles, cells, (steps, closing),
+                      (0, len(steps), 0, len(closing)),
+                      arc_cells.__getitem__)
+    # the link reads its arcs off its tree, which holds each arc once
+    assert link.arcs == arcs
+    return link
 
 
 def dual_tree(link, root, arc_discs):
@@ -1164,8 +1168,7 @@ def flip_edge(tri, e):
     its links and arc table rebuilt.  No answer of the package may depend
     on edge directions, so every answer must be the same on the copy."""
     flipped = copy.copy(tri)
-    # the boundary matrix and the EdgeClass objects, which read the
-    # directions, are cached there
+    # the EdgeClass objects, which read the directions, are cached there
     flipped._cache = {}
     flipped.edge_direction_at = tuple(
         -d if c == e else d

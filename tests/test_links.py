@@ -1,17 +1,22 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from quadlift import parse_triangulation
+from quadlift import NOT_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary
 from quadlift.intlinalg import IntMatrix, smith_normal_form
 from quadlift.links import build_all_links
 from quadlift.solver import quad_boundary
-from oracles import (arc_of, build_link, disc_boundary, dual_tree, flip_edge,
-                     fundamental_class, kernel_basis, link_boundary_matrix,
+from quadlift.triangulation import FACE_CORNERS
+from oracles import (arc_of, build_link, directed_face_edge, disc_boundary,
+                     dual_tree, end_cell, flip_edge, fundamental_class,
+                     kernel_basis, link_boundary_matrix,
                      link_boundary_restriction_check, link_potential,
                      projection, small_vectors, suspended_surface)
 import generators as gen
+from conftest import FAMILY_DOCS
 
 LINK_FIELDS = ("vertex", "triangles", "arcs", "cells", "arc_cells",
                "euler_characteristic", "genus", "is_sphere", "tree")
@@ -76,6 +81,74 @@ def test_one_pass_links_match_per_vertex_builder_on_covers(n):
     assert_links_match_per_vertex_builder(parse_triangulation(doc))
 
 
+def oracle_arc_ends(tri):
+    """The (tail, head) 0-cells of every arc, arc by arc, from the directed
+    edge of its representative face opposite the linked corner."""
+    ends = []
+    for fc in tri.face_classes:
+        i, f = fc.rep
+        for corner in FACE_CORNERS[f]:
+            p, q = directed_face_edge(tri, i, f, corner)
+            ends.append((end_cell(tri, i, corner, p),
+                         end_cell(tri, i, corner, q)))
+    return ends
+
+
+def link_arc_cells(tri):
+    return {arc: ends for link in tri.links
+            for arc, ends in link.arc_cells.items()}
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in FAMILY_DOCS],
+                         ids=[name for name, _ in FAMILY_DOCS])
+def test_arc_ends_match_the_oracle(doc):
+    """Each arc's ends, computed from its row on first use, are the oracle's,
+    whether the links' ``arc_cells`` are read before them or after, and on
+    copies with the first or the last edge class flipped.  Every end is the
+    0-cell tuple of its link's ``cells``, not a copy of it."""
+    for cells_first in (True, False):
+        tri = parse_triangulation(doc)   # each round reads new parses
+        for t in (tri, flip_edge(tri, 0),
+                  flip_edge(tri, max(tri.edge_class_at))):
+            expect = oracle_arc_ends(t)
+            if cells_first:
+                cells = link_arc_cells(t)
+            assert [t.arc_ends(arc) for arc in range(t.arc_count)] == expect
+            if not cells_first:
+                cells = link_arc_cells(t)
+            assert cells == dict(enumerate(expect))
+            for link in t.links:
+                shared = set(map(id, link.cells))
+                assert all(id(tail) in shared and id(head) in shared
+                           for tail, head in link.arc_cells.values())
+
+
+@pytest.mark.parametrize("name", ["stacked-13", "cover-5", "suspended-2"])
+def test_a_parse_is_freed_by_reference_counting(name):
+    """Nothing built at parse or on first use refers back to the
+    triangulation: with the collector off, dropping the last reference
+    frees it after a NotNormal lift and a read of every lazy field."""
+    doc = dict(FAMILY_DOCS)[name]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tri = parse_triangulation(doc)
+        q = gen.perturbed(random.Random(0), gen.edge_link_vectors(tri)[0])
+        assert lift(tri, q).classification == NOT_NORMAL
+        link_ends = link_arc_cells(tri)
+        assert sorted(link_ends) == sorted(
+            arc for link in tri.links for arc in link.arcs)
+        ends = [tri.arc_ends(arc) for arc in range(tri.arc_count)]
+        ref = weakref.ref(tri)
+        del tri
+        assert ref() is None
+        # what was read outlives the triangulation without keeping it alive
+        assert len(ends) == len(link_ends)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def assert_tree_invariants(tri):
     """Every link's stored tree is the breadth-first spanning tree of its
     dual graph that the per-link oracle grows from the last triangle.  It
@@ -91,7 +164,7 @@ def assert_tree_invariants(tri):
             end for _, end in ranges[:-1]]
         assert ranges[-1][1] == len(flat)
     for link in tri.links:
-        assert link.arc_cells == {arc: tri.arc_ends[arc] for arc in link.arcs}
+        assert link.arc_cells == {arc: tri.arc_ends(arc) for arc in link.arcs}
         assert link.gather(range(tri.disc_count)) == link.triangles
     rng = random.Random(tri.tet_count)
     queries = (gen.edge_link_vectors(tri) + [[0] * tri.quad_count]

@@ -150,7 +150,12 @@ def assert_proved_invariants(doc, tri):
         assert len(steps) == len(link.triangles) - 1
         assert {nb for _, _, nb, _ in steps} | {link.triangles[-1]} == set(
             link.triangles)
-        assert sorted(arc for arc, *_ in steps + closing) == list(link.arcs)
+        # every arc with a side on the link's triangles is one step or one
+        # closing entry: ``link.arcs`` and the Euler characteristic count them
+        triangles = set(link.triangles)
+        assert sorted(arc for arc, *_ in steps + closing) == [
+            arc for arc, (_, d, _, _, _) in enumerate(tri.arc_discs)
+            if d in triangles] == list(link.arcs)
         for arc, d, nb, _ in steps:
             _, tri_a, tri_b, _, _ = tri.arc_discs[arc]
             assert {tri_a, tri_b} == {d, nb}
