@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import chains, solver
@@ -109,11 +110,32 @@ def _parser(cmd, *, tri=True, quads=False, coords=False, matrix=False,
     return p
 
 
+def _int_rows(rows, indent):
+    """The body at ``indent`` of a list of int rows of one nonzero length,
+    as one ``%`` of a row template repeated over the flattened values; None
+    for any other list."""
+    if (not {list, tuple}.issuperset(map(type, rows))
+            or len(set(map(len, rows))) != 1 or not rows[0]):
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if not {int}.issuperset(map(type, flat)):   # a bool prints as true
+        return None
+    sep = ",\n" + indent
+    row = ("[\n" + indent + "  " + (sep + "  ").join(["%s"] * len(rows[0]))
+           + "\n" + indent + "]")
+    return sep.join([row] * len(rows)) % flat
+
+
 def _json_text(value, indent):
     """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives for
     ``value`` at ``indent``, without the pure-Python encoder that ``indent``
-    selects: a list of ints, such as a row of coordinates, is one join.
-    Dict keys must be str; tuples print as lists."""
+    selects.  An int prints through ``str``; a list of ints, such as a row
+    of coordinates, is one join; and a list of int rows of one nonzero
+    length, such as the rows of a lift, is one ``%`` (:func:`_int_rows`).
+    Bools, ``None``, empty and ragged rows go through the recursion.  Dict
+    keys must be str; tuples print as lists."""
+    if type(value) is int:
+        return str(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -122,7 +144,8 @@ def _json_text(value, indent):
         if all(type(v) is int for v in value):
             body = sep.join(map(str, value))
         else:
-            body = sep.join([_json_text(v, inner) for v in value])
+            body = _int_rows(value, inner) or sep.join(
+                [_json_text(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(value, dict):
         if not value:
@@ -167,7 +190,7 @@ def _cmd_validate(args, out):
         _emit_json({
             "valid": True,
             "tets": tri.tet_count,
-            "vertex_classes": len(tri.vertex_classes),
+            "vertex_classes": len(tri.links),   # a link per vertex class
             # classes are numbered 0..E-1 by first slot
             "edge_classes": max(tri.edge_class_at) + 1,
             "face_classes": 2 * tri.tet_count,
@@ -177,7 +200,7 @@ def _cmd_validate(args, out):
         return EX_OK
     out.write("valid\n")
     out.write("tets %d\n" % tri.tet_count)
-    out.write("vertex classes %d\n" % len(tri.vertex_classes))
+    out.write("vertex classes %d\n" % len(tri.links))
     out.write("edge classes %d\n" % len(tri.edge_classes))
     out.write("face classes %d\n" % (2 * tri.tet_count))
     for i, sign in enumerate(tri.tet_orientation):

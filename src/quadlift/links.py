@@ -10,12 +10,12 @@ in one pass.  Every link is connected by definition and orientable (see
 :func:`build_all_links`), so the Euler characteristic fixes its type.
 """
 
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from operator import itemgetter
 
-from .triangulation import (FACE_CORNERS, PERMS, VertexClass, _slot,
-                            edge_ends, perm_sign, quad_type_through)
+from .triangulation import (FACE_CORNERS, PERMS, _slot, edge_ends, perm_sign,
+                            quad_type_through)
 
 
 def _arc_rows(f, sigma):
@@ -51,19 +51,43 @@ _BY_QUAD = {3 * v + quad_type_through(f, v) - 1: _end_row(f, v)
 _END_ROWS = tuple(_BY_QUAD[n] for n in range(12))
 
 
-def arc_ends(rows, edge_class, edge_dir, cell, arc):
-    """The (tail, head) 0-cells of an arc, whose triangle 7i+v and quad
-    7i+3+k in its row of ``rows`` name its face; ``cell`` holds one tuple
-    (edge class, end) per 0-cell.  ``tri.arc_ends(arc)`` binds the tables."""
-    _, d, _, quad, _ = rows[arc]
-    i, v = divmod(d, 7)
-    k, kx, lx, ky, ly = _END_ROWS[3 * v + quad - 7 * i - 4]
-    k, kx, ky = 6 * i + k, 6 * i + kx, 6 * i + ky
-    # the cell on edge {v, x} is its tail (end 0) when v is the tail,
-    # that is when the edge's direction equals lx
-    tail = cell[2 * edge_class[kx] + ((1 - edge_dir[kx] * lx) >> 1)]
-    head = cell[2 * edge_class[ky] + ((1 - edge_dir[ky] * ly) >> 1)]
-    return (tail, head) if edge_dir[k] == 1 else (head, tail)
+def arc_end_ids(rows, edge_class, edge_dir, arcs):
+    """The 0-cells at the ends of ``arcs`` as ids 2e + end, tail then head
+    of each arc in turn.  ``tri.arc_end_ids(arcs)`` binds the tables."""
+    ids = []
+    for arc in arcs:
+        _, d, _, quad, _ = rows[arc]
+        # the row's triangle d = 7i+v and quad 7i+3+k name the arc's face:
+        # 3d + quad - 4 is 28i + 3v + k - 1
+        k, kx, lx, ky, ly = _END_ROWS[(3 * d + quad - 4) % 28]
+        base = d // 7 * 6
+        kx += base
+        ky += base
+        # the cell on edge {v, x} is its tail (end 0) when v is the tail,
+        # that is when the edge's direction equals lx
+        tail = 2 * edge_class[kx] + (edge_dir[kx] != lx)
+        head = 2 * edge_class[ky] + (edge_dir[ky] != ly)
+        ids += (tail, head) if edge_dir[base + k] == 1 else (head, tail)
+    return ids
+
+
+def arc_ends(end_ids, cell, arc):
+    """The (tail, head) 0-cells of an arc, the tuples of ``cell`` at its
+    ``end_ids``.  ``tri.arc_ends(arc)`` binds the tables."""
+    tail, head = end_ids((arc,))
+    return cell[tail], cell[head]
+
+
+def link_cells(first, edge_dir, vertex_class, cell, count):
+    """The 0-cells of each of the ``count`` links, by one scan over the edge
+    classes: the tail of class e (first member ``first[e]``) lies on the
+    link of its tail vertex, and its head on that of its head vertex."""
+    cells = [[] for _ in range(count)]
+    for e, x in enumerate(first):
+        tail, head = edge_ends(x, edge_dir[x])
+        cells[vertex_class[tail]].append(cell[2 * e])
+        cells[vertex_class[head]].append(cell[2 * e + 1])
+    return tuple(map(tuple, cells))
 
 
 class VertexLink:
@@ -71,7 +95,10 @@ class VertexLink:
 
     * ``triangles``: disc indices of the link's normal triangles, sorted.
     * ``arcs``: global arc indices of its 1-cells, sorted.
-    * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head.
+    * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head,
+      entry ``vertex`` of ``all_cells()``, which gives those of every link
+      (:func:`link_cells`); ``euler_characteristic``, ``genus`` and
+      ``is_sphere`` count them.
     * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc, by
       ``ends``, the triangulation's ``arc_ends``; built on first use.
     * ``gather(w)``: the tuple of a disc-indexed ``w`` at ``triangles``.
@@ -89,24 +116,36 @@ class VertexLink:
     reference to the triangulation.
     """
 
-    __slots__ = ("vertex", "triangles", "cells", "euler_characteristic",
-                 "genus", "is_sphere", "gather", "forest", "span", "ends",
-                 "_arc_cells")
+    __slots__ = ("vertex", "triangles", "all_cells", "gather", "forest",
+                 "span", "ends", "_arc_cells")
 
-    def __init__(self, vertex, triangles, cells, forest, span, ends):
+    def __init__(self, vertex, triangles, all_cells, forest, span, ends):
         self.vertex = vertex
         self.triangles = triangles
-        self.cells = cells
-        start, end, first, last = span
-        chi = len(cells) - (end - start + last - first) + len(triangles)
-        self.euler_characteristic = chi
-        self.genus = (2 - chi) // 2
-        self.is_sphere = chi == 2
+        self.all_cells = all_cells
         self.gather = itemgetter(*triangles)
         self.forest = forest
         self.span = span
         self.ends = ends
         self._arc_cells = None
+
+    @property
+    def cells(self):
+        return self.all_cells()[self.vertex]
+
+    @property
+    def euler_characteristic(self):
+        start, end, first, last = self.span
+        return (len(self.cells) - (end - start + last - first)
+                + len(self.triangles))
+
+    @property
+    def genus(self):
+        return (2 - self.euler_characteristic) // 2
+
+    @property
+    def is_sphere(self):
+        return self.euler_characteristic == 2
 
     @property
     def tree(self):
@@ -137,12 +176,12 @@ def build_all_links(tri):
     The arc of face f of tetrahedron i linking corner v joins the triangles
     (i, v) and (j, sigma[v]) of the face's gluing sigma.  A vertex class is
     a component of the graph these arcs make, numbered by its first slot
-    (``tri.vertex_classes`` and ``tri.vertex_class_at``), and its link is
-    the component, so it is connected by definition.  Every link is also a
-    closed orientable surface, which is not checked.  Closed: each arc has a
-    triangle on either side, and the triangles round a 0-cell (edge class,
-    end) form one disc, as the edge class is one cycle that never meets
-    itself reversed (see ``Triangulation._compute_edge_classes``).
+    (``tri.vertex_class_at``), and its link is the component, so it is
+    connected by definition.  Every link is also a closed orientable
+    surface, which is not checked.  Closed: each arc has a triangle on
+    either side, and the triangles round a 0-cell (edge class, end) form
+    one disc, as the edge class is one cycle that never meets itself
+    reversed (see ``Triangulation._compute_edge_classes``).
     Orientable, so of even Euler characteristic: the two triangles on an
     arc give it opposite signs (``s`` and ``-s`` below), as every gluing
     reverses the face orientation.
@@ -156,8 +195,10 @@ def build_all_links(tri):
     ``-s``; this table is the boundary matrix, a row per arc
     (``chains.BoundaryMatrix``).  On a face glued to another face of its own
     tetrahedron the two triangles can be one disc, whose terms cancel; the
-    two quads are always different types.  The ends of an arc, each link's
-    ``arcs`` and its ``arc_cells`` are built on first use (:func:`arc_ends`).
+    two quads are always different types.  The ends of an arc
+    (:func:`arc_end_ids`, :func:`arc_ends`), each link's ``arcs`` and
+    ``arc_cells``, and the 0-cells of all links (:func:`link_cells`) are
+    built on first use.
 
     The forest visits the triangles in descending order, so each tree grows
     breadth first from its link's last triangle, through each disc's arcs
@@ -226,31 +267,25 @@ def build_all_links(tri):
     trees.sort()   # by first triangle, which no two trees share
     # disc 7i+v is the triangle of slot 4i+v
     vertex_class = [0] * (4 * tri.tet_count)
-    classes = []
     for c, (triangles, _, _, _) in enumerate(trees):
-        slots = tuple([d - 3 * (d // 7) for d in triangles])
-        for x in slots:
-            vertex_class[x] = c
-        classes.append(VertexClass(c, slots))
-    tri.vertex_classes = tuple(classes)
+        for d in triangles:
+            vertex_class[d - 3 * (d // 7)] = c
     tri.vertex_class_at = vertex_class = tuple(vertex_class)
     closings = [[] for _ in trees]
     for entry in loops:   # disc 7i+v is the triangle of slot 4i+v
         closings[vertex_class[entry[1] - 3 * (entry[1] // 7)]].append(entry)
-    cells = [[] for _ in trees]
-    for e, x in enumerate(first):
-        tail, head = edge_ends(x, edge_dir[x])
-        cells[vertex_class[tail]].append(cell[2 * e])
-        cells[vertex_class[head]].append(cell[2 * e + 1])
     closing = []
     tri.forest = forest = (steps, closing)
-    tri.arc_ends = ends = partial(arc_ends, arc_discs, edge_class, edge_dir,
-                                  cell)
+    tri.arc_end_ids = end_ids = partial(arc_end_ids, arc_discs, edge_class,
+                                        edge_dir)
+    tri.arc_ends = ends = partial(arc_ends, end_ids, cell)
+    all_cells = cache(partial(link_cells, first, edge_dir, vertex_class, cell,
+                              len(trees)))
     links = []
     for c, (triangles, start, end, tree_closing) in enumerate(trees):
         opening = len(closing)
         closing += closings[c] + tree_closing
-        links.append(VertexLink(c, tuple(triangles), tuple(cells[c]), forest,
+        links.append(VertexLink(c, tuple(triangles), all_cells, forest,
                                 (start, end, opening, len(closing)), ends))
     return tuple(links)
 

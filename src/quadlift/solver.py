@@ -124,14 +124,19 @@ def boundary_test(tri, b, w):
 
 def cycle_imbalance(tri, residual, vertex):
     """The nonzero sums of the residuals of ``vertex`` at their end 0-cells,
-    which are those of b: none exactly when b is a 1-cycle on its link.  The
-    ends are computed on first use, only for the arcs with residuals."""
-    sums = {}
-    for arc, r in residual.get(vertex, ()):
-        tail, head = tri.arc_ends(arc)
-        sums[head] = sums.get(head, 0) + r
-        sums[tail] = sums.get(tail, 0) - r
-    return {cell: s for cell, s in sorted(sums.items()) if s} if sums else sums
+    which are those of b: none exactly when b is a 1-cycle on its link.
+    The ends of the link's residual arcs are computed in one call, as ids
+    2e + end, and a cell's (e, end) tuple is made only for a nonzero sum."""
+    entries = residual.get(vertex)
+    if not entries:
+        return {}
+    arcs, rs = zip(*entries)
+    ends = tri.arc_end_ids(arcs)
+    sums = dict.fromkeys(ends, 0)
+    for r, tail, head in zip(rs, ends[0::2], ends[1::2]):
+        sums[head] += r
+        sums[tail] -= r
+    return {divmod(c, 2): s for c, s in sorted(sums.items()) if s}
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,15 @@ class VertexClass:
             self.index, self.rep, len(self.slots))
 
 
+def _members(class_at):
+    """(class, its slots ascending) for each class of the per-slot
+    ``class_at``, whose classes are numbered in order of first slot."""
+    members = {}
+    for x, c in enumerate(class_at):
+        members.setdefault(c, []).append(x)
+    return [(c, tuple(slots)) for c, slots in members.items()]
+
+
 class Triangulation:
     """A validated closed orientable triangulated 3-pseudo-manifold.
 
@@ -233,11 +242,13 @@ class Triangulation:
     threads.  Construction checks the gluings and the orientability, and
     computes the orientation signs, the edge classes with their directions
     (``edge_class_at``, ``edge_direction_at``) and, in
-    ``links.build_all_links``, the vertex classes, their links and
-    ``forest``, and the discs of each arc (``arc_discs``).  What only a
-    report or a test reads is built on first use: the ends of an arc
-    (``arc_ends(arc)``), each link's ``arcs`` and ``arc_cells``, and the
-    objects of ``edge_classes`` and ``face_classes``.
+    ``links.build_all_links``, the vertex classes (``vertex_class_at``),
+    their links and ``forest``, and the discs of each arc (``arc_discs``).
+    What only a report or a test reads is built on first use: the ends of
+    an arc (``arc_end_ids(arcs)``, ``arc_ends(arc)``), each link's ``arcs``,
+    ``arc_cells`` and 0-cells ``cells`` (with the Euler characteristic they
+    give), and the objects of ``vertex_classes``, ``edge_classes`` and
+    ``face_classes``.
     """
 
     def __init__(self, doc):
@@ -251,7 +262,7 @@ class Triangulation:
         self._compute_edge_classes()
         self._cache = {}
         from . import links   # which imports this module
-        self.links = links.build_all_links(self)   # and the vertex classes
+        self.links = links.build_all_links(self)   # and vertex_class_at
 
     # ------------------------------------------------------------------
     # construction
@@ -343,16 +354,23 @@ class Triangulation:
         return classes
 
     @property
+    def vertex_classes(self):
+        """The VertexClass of every vertex class, built on first use."""
+        classes = self._cache.get("vertices")
+        if classes is None:
+            classes = self._cache["vertices"] = tuple(
+                VertexClass(c, slots)
+                for c, slots in _members(self.vertex_class_at))
+        return classes
+
+    @property
     def edge_classes(self):
         """The EdgeClass of every edge class, built on first use."""
         classes = self._cache.get("edges")
         if classes is None:
-            members = {}   # classes are numbered in order of first slot
-            for x, e in enumerate(self.edge_class_at):
-                members.setdefault(e, []).append(x)
             classes = self._cache["edges"] = tuple(
-                EdgeClass(self, e, tuple(slots))
-                for e, slots in members.items())
+                EdgeClass(self, e, slots)
+                for e, slots in _members(self.edge_class_at))
         return classes
 
     def _compute_edge_classes(self):
@@ -454,7 +472,7 @@ class Triangulation:
 
     def __repr__(self):
         return "Triangulation(%d tets, %d vertices, %d edges, %d faces)" % (
-            self.tet_count, len(self.vertex_classes), len(self.edge_classes),
+            self.tet_count, len(self.links), len(self.edge_classes),
             2 * self.tet_count)
 
 

@@ -852,8 +852,8 @@ def build_link(tri, vertex):
 
     stub = SimpleNamespace(triangles=triangles, arcs=arcs)
     steps, closing = dual_tree(stub, len(triangles) - 1, tri.arc_discs)
-    link = VertexLink(vertex, triangles, cells, (steps, closing),
-                      (0, len(steps), 0, len(closing)),
+    link = VertexLink(vertex, triangles, lambda: {vertex: cells},
+                      (steps, closing), (0, len(steps), 0, len(closing)),
                       arc_cells.__getitem__)
     # the link reads its arcs off its tree, which holds each arc once
     assert link.arcs == arcs

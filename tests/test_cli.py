@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,31 @@ def test_validate_json_counts_edge_classes_without_building_them(
     code, out, _ = invoke("validate", "--tri", path("fig8.json"), "--json")
     assert code == 0
     assert json.loads(out)["edge_classes"] == 2
+
+
+@pytest.mark.parametrize("tri, quads, code", [
+    ("double_tet.json", [[1, 0, 0], [1, 0, 0]], 0),
+    ("fig8.json", None, 2),
+    ("double_tet.json", [[1, 0, 0], [0, 0, 0]], 3),
+])
+def test_classify_json_builds_no_vertex_class_and_no_link_cells(
+        monkeypatch, tmp_path, tri, quads, code):
+    def refuse(*args):
+        raise AssertionError("built on a path that does not read it")
+
+    monkeypatch.setattr(quadlift.triangulation.VertexClass, "__init__",
+                        refuse)
+    monkeypatch.setattr(quadlift.links, "link_cells", refuse)
+    if quads is None:
+        quads_path = path("fig8_spun_quads.json")
+    else:
+        quads_path = tmp_path / "q.json"
+        quads_path.write_text(json.dumps({"quads": quads}))
+    got, out, err = invoke("classify", "--tri", path(tri),
+                           "--quads", str(quads_path), "--json")
+    assert (got, err) == (code, "")
+    assert json.loads(out)["classification"] in ("Normal", "SpunNormal",
+                                                 "NotNormal")
 
 
 def test_links_line_format():
@@ -458,10 +484,25 @@ SPECIAL = '"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001f600'
 TEXT = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()),
                max_size=6)
 INTS = st.integers(-10 ** 40, 10 ** 40)
+
+
+def rows_of(items):
+    """Lists of rows of one length, each row a list or a tuple of items."""
+    def rows(n):
+        row = st.lists(items, min_size=n, max_size=n)
+        return st.lists(st.one_of(row, row.map(tuple)), max_size=4)
+    return st.integers(0, 4).flatmap(rows)
+
+
+# int rows take the writer's one-% branch; a bool or None in a row sends
+# the list back to the recursion
+ROWS = st.one_of(rows_of(INTS), rows_of(st.one_of(INTS, st.booleans(),
+                                                  st.none())))
 JSON_VALUES = st.recursive(
     st.one_of(INTS, st.booleans(), st.none(), TEXT),
     lambda children: st.one_of(
         st.lists(INTS, max_size=5), st.lists(INTS, max_size=5).map(tuple),
+        ROWS,
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(TEXT, children, max_size=4)),
@@ -474,3 +515,22 @@ def test_the_json_writer_prints_what_json_dumps_prints(value):
     out = io.StringIO()
     _emit_json(value, out)
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    [[]], [[], []], [[1]], [[1, 2], [3]], [[True, 1], [2, 3]],
+    [[1, False], [None, 3]], [(1, 2), [3, 4]], ([0, -1, 2], (3, 4, 5)),
+    {"coords": [[0, 1], [2, 10 ** 40]], "rows": [[-5]]},
+])
+def test_the_json_writer_prints_rows_as_json_dumps(value):
+    out = io.StringIO()
+    _emit_json(value, out)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_row_past_the_digit_limit_raises_as_json_dumps_does():
+    value = [[1, 2], [10 ** 5000, 3]]
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(ValueError):
+        _emit_json(value, io.StringIO())

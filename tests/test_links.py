@@ -139,11 +139,14 @@ def test_a_parse_is_freed_by_reference_counting(name):
         assert sorted(link_ends) == sorted(
             arc for link in tri.links for arc in link.arcs)
         ends = [tri.arc_ends(arc) for arc in range(tri.arc_count)]
+        cells = [(link.cells, link.euler_characteristic) for link in tri.links]
+        classes = tri.vertex_classes
         ref = weakref.ref(tri)
         del tri
         assert ref() is None
         # what was read outlives the triangulation without keeping it alive
         assert len(ends) == len(link_ends)
+        assert len(cells) == len(classes)
     finally:
         if enabled:
             gc.enable()
