@@ -90,24 +90,52 @@ class _ArgumentParser(argparse.ArgumentParser):
                      % (self.format_usage(), self.prog, message))
 
 
-def _parser(cmd, *, tri=True, quads=False, coords=False, matrix=False,
-            with_json=False):
+# flag: (dest, help).  ``--json`` is a switch; every other flag is required
+# and takes one value.
+_FLAGS = {
+    "--tri": ("tri", "triangulation JSON file"),
+    "--quads": ("quads", "quadrilateral coordinates JSON file"),
+    "--coords": ("coords", "normal coordinates JSON file"),
+    "--matrix": ("matrix", "matrix file in 'rows cols nnz' triplet format"),
+    "--json": ("as_json", "machine-readable JSON output"),
+}
+
+
+def _parser(cmd, flags):
     p = _ArgumentParser(prog="quadlift %s" % cmd)
-    if tri:
-        p.add_argument("--tri", required=True, help="triangulation JSON file")
-    if quads:
-        p.add_argument("--quads", required=True,
-                       help="quadrilateral coordinates JSON file")
-    if coords:
-        p.add_argument("--coords", required=True,
-                       help="normal coordinates JSON file")
-    if matrix:
-        p.add_argument("--matrix", required=True,
-                       help="matrix file in 'rows cols nnz' triplet format")
-    if with_json:
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="machine-readable JSON output")
+    for flag in flags:
+        dest, text = _FLAGS[flag]
+        if flag == "--json":
+            p.add_argument(flag, action="store_true", dest=dest, help=text)
+        else:
+            p.add_argument(flag, required=True, dest=dest, help=text)
     return p
+
+
+def _read_args(flags, argv):
+    """The namespace that ``_parser(cmd, flags).parse_args(argv)`` returns,
+    read without building a parser, when every token of ``argv`` is one of
+    ``flags`` spelled out, each value flag is given once and followed by a
+    value that does not start with "-", and ``--json`` is given at most
+    once.  None for anything else, which argparse reads: help, abbreviated
+    flags, ``--flag=value``, repeats, ``--``, values that start with "-",
+    and every usage error."""
+    given = {}
+    tokens = iter(argv)
+    for flag in tokens:
+        if flag not in flags or flag in given:
+            return None
+        if flag == "--json":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")   # a flag without a value declines too
+        if value.startswith("-"):
+            return None
+        given[flag] = value
+    if any(flag not in given for flag in flags if flag != "--json"):
+        return None
+    return argparse.Namespace(**{_FLAGS[flag][0]: given.get(flag, False)
+                                 for flag in flags})
 
 
 def _int_rows(rows, indent):
@@ -366,13 +394,14 @@ def _cmd_snf(args, out):
     return EX_OK
 
 
+# subcommand: (handler, its flags in the order its help lists them)
 _HANDLERS = {
-    "validate": (_cmd_validate, dict(with_json=True)),
-    "links": (_cmd_links, dict(with_json=True)),
-    "matrix": (_cmd_matrix, dict()),
-    "classify": (_cmd_classify, dict(quads=True, with_json=True)),
-    "verify": (_cmd_verify, dict(coords=True, with_json=True)),
-    "snf": (_cmd_snf, dict(tri=False, matrix=True)),
+    "validate": (_cmd_validate, ("--tri", "--json")),
+    "links": (_cmd_links, ("--tri", "--json")),
+    "matrix": (_cmd_matrix, ("--tri",)),
+    "classify": (_cmd_classify, ("--tri", "--quads", "--json")),
+    "verify": (_cmd_verify, ("--tri", "--coords", "--json")),
+    "snf": (_cmd_snf, ("--matrix",)),
 }
 
 
@@ -387,13 +416,15 @@ def run(argv, out=None, err=None):
     if cmd not in COMMANDS:
         err.write("unknown subcommand: %s\n" % cmd)
         return EX_USAGE
-    handler, opts = _HANDLERS[cmd]
-    try:
-        args = _parser(cmd, **opts).parse_args(argv[1:])
-    except _Usage as exc:
-        code, text = exc.args
-        (out if code == EX_OK else err).write(text)
-        return code
+    handler, flags = _HANDLERS[cmd]
+    args = _read_args(flags, argv[1:])
+    if args is None:
+        try:
+            args = _parser(cmd, flags).parse_args(argv[1:])
+        except _Usage as exc:
+            code, text = exc.args
+            (out if code == EX_OK else err).write(text)
+            return code
     try:
         return handler(args, out)
     except _InputError as exc:

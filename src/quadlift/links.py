@@ -71,17 +71,25 @@ def arc_end_ids(rows, edge_class, edge_dir, arcs):
     return ids
 
 
-def arc_ends(end_ids, cell, arc):
-    """The (tail, head) 0-cells of an arc, the tuples of ``cell`` at its
-    ``end_ids``.  ``tri.arc_ends(arc)`` binds the tables."""
+def cell_tuples(count):
+    """The 0-cells (edge class, end) of ``count`` edge classes as tuples,
+    the tail and then the head of each class in turn."""
+    return list(product(range(count), (0, 1)))
+
+
+def arc_ends(end_ids, cell_list, arc):
+    """The (tail, head) 0-cells of an arc, the tuples of ``cell_list()`` at
+    its ``end_ids``.  ``tri.arc_ends(arc)`` binds the tables."""
     tail, head = end_ids((arc,))
+    cell = cell_list()
     return cell[tail], cell[head]
 
 
-def link_cells(first, edge_dir, vertex_class, cell, count):
+def link_cells(first, edge_dir, vertex_class, cell_list, count):
     """The 0-cells of each of the ``count`` links, by one scan over the edge
     classes: the tail of class e (first member ``first[e]``) lies on the
     link of its tail vertex, and its head on that of its head vertex."""
+    cell = cell_list()
     cells = [[] for _ in range(count)]
     for e, x in enumerate(first):
         tail, head = edge_ends(x, edge_dir[x])
@@ -197,8 +205,8 @@ def build_all_links(tri):
     tetrahedron the two triangles can be one disc, whose terms cancel; the
     two quads are always different types.  The ends of an arc
     (:func:`arc_end_ids`, :func:`arc_ends`), each link's ``arcs`` and
-    ``arc_cells``, and the 0-cells of all links (:func:`link_cells`) are
-    built on first use.
+    ``arc_cells``, the 0-cells of all links (:func:`link_cells`) and the
+    tuples they share (:func:`cell_tuples`) are built on first use.
 
     The forest visits the triangles in descending order, so each tree grows
     breadth first from its link's last triangle, through each disc's arcs
@@ -213,8 +221,9 @@ def build_all_links(tri):
     edge_class, edge_dir = tri.edge_class_at, tri.edge_direction_at
     orientation, perm = tri.tet_orientation, tri._perm
     first = tri._edge_first   # first[e]: the first member 6i+k of class e
-    # one tuple per 0-cell (edge class, end), shared by every link and arc
-    cell = list(product(range(len(first)), (0, 1)))
+    # one tuple per 0-cell (edge class, end), shared by every link and arc,
+    # made on the first read of any
+    cell_list = cache(partial(cell_tuples, len(first)))
     # sides[3d:3d + fill[d]]: the arcs of disc d, in index order
     sides = [0] * (21 * tri.tet_count)
     fill = [0] * (7 * tri.tet_count)
@@ -278,9 +287,9 @@ def build_all_links(tri):
     tri.forest = forest = (steps, closing)
     tri.arc_end_ids = end_ids = partial(arc_end_ids, arc_discs, edge_class,
                                         edge_dir)
-    tri.arc_ends = ends = partial(arc_ends, end_ids, cell)
-    all_cells = cache(partial(link_cells, first, edge_dir, vertex_class, cell,
-                              len(trees)))
+    tri.arc_ends = ends = partial(arc_ends, end_ids, cell_list)
+    all_cells = cache(partial(link_cells, first, edge_dir, vertex_class,
+                              cell_list, len(trees)))
     links = []
     for c, (triangles, start, end, tree_closing) in enumerate(trees):
         opening = len(closing)

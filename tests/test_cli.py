@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadlift
-from quadlift.cli import _emit_json, run
+from quadlift.cli import (_HANDLERS, _Usage, _emit_json, _parser, _read_args,
+                          run)
 
 from conftest import DATA
 
@@ -216,6 +218,59 @@ def test_subcommand_help_exit_zero():
     assert code == 0
     assert out.startswith("usage: quadlift classify")
     assert err == ""
+
+
+def argparse_vars(cmd, argv):
+    """``vars()`` of the namespace argparse reads from ``argv``, or None
+    where it prints help or a usage error."""
+    try:
+        return vars(_parser(cmd, _HANDLERS[cmd][1]).parse_args(argv))
+    except _Usage:
+        return None
+
+
+def test_the_reader_reads_the_flags_in_any_order_as_argparse_does():
+    # with a required flag missing, the reader declines and argparse reports
+    # a usage error
+    for cmd, (_, flags) in _HANDLERS.items():
+        for n in range(len(flags) + 1):
+            for order in itertools.permutations(flags, n):
+                argv = []
+                for flag in order:
+                    argv += [flag] if flag == "--json" else [flag, "a.json"]
+                read = _read_args(flags, argv)
+                assert (read and vars(read)) == argparse_vars(cmd, argv), argv
+
+
+# argv tokens: every flag of every subcommand, abbreviated and in the
+# --flag=value form, "--", help, and values that start with "-", are empty
+# or are not ASCII
+FLAGS = ["--tri", "--quads", "--coords", "--matrix", "--json"]
+VALUES = ["a.json", "-", "-5", "", "\u00e9\u2603", "x=y"]
+TOKENS = FLAGS + VALUES + [
+    "--t", "--tr", "--q", "--qu", "--c", "--m", "--j", "--js", "--tri=a.json",
+    "--quads=", "--json=1", "--", "-h", "--help", "--bogus"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.data())
+def test_the_reader_returns_what_argparse_returns_or_declines(data):
+    """Argv from the full form of a subcommand, its flags in any order with
+    values from VALUES, by up to four edits that insert, replace or delete a
+    token: so flags of other subcommands, repeats, missing flags and values,
+    and each of TOKENS anywhere."""
+    cmd = data.draw(st.sampled_from(sorted(_HANDLERS)))
+    flags = _HANDLERS[cmd][1]
+    argv = []
+    for flag in data.draw(st.permutations(flags)):
+        argv += [flag] if flag == "--json" else [
+            flag, data.draw(st.sampled_from(VALUES))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(argv)))
+        argv[at:at + data.draw(st.integers(0, 1))] = data.draw(
+            st.lists(st.sampled_from(TOKENS), max_size=1))
+    read = _read_args(flags, argv)
+    assert read is None or vars(read) == argparse_vars(cmd, argv)
 
 
 def test_snf_malformed_matrix_exit_one(tmp_path):

@@ -150,6 +150,19 @@ def test_the_json_writer_prints_json_dumps_on_every_golden_payload(
                                             sort_keys=True) + "\n"
 
 
+def test_the_documented_forms_build_no_parser(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "_ArgumentParser", refuse)
+    assert golden_outputs(tmp_path) == json.loads(GOLDEN.read_text())
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 2 2\n0 0 2\n1 1 3\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["snf", "--matrix", str(matrix)], out=out, err=err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("invariant_factors 1 6\n", "")
+
+
 # ----------------------------------------------------------------------
 # parse state and rejections
 
