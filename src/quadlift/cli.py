@@ -36,8 +36,6 @@ _EXIT_BY_CLASS = {
     solver.NOT_NORMAL: EX_NOT_NORMAL,
 }
 
-COMMANDS = ("validate", "links", "matrix", "classify", "verify", "snf")
-
 
 class _InputError(Exception):
     def __init__(self, message, code):
@@ -410,10 +408,10 @@ def run(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     if not argv or argv[0] in ("-h", "--help"):
-        out.write("usage: quadlift {%s} ...\n" % ",".join(COMMANDS))
+        out.write("usage: quadlift {%s} ...\n" % ",".join(_HANDLERS))
         return EX_OK if argv else EX_USAGE
     cmd = argv[0]
-    if cmd not in COMMANDS:
+    if cmd not in _HANDLERS:
         err.write("unknown subcommand: %s\n" % cmd)
         return EX_USAGE
     handler, flags = _HANDLERS[cmd]

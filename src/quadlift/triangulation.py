@@ -151,26 +151,6 @@ def _gluing_of(t, i, f, j, g, corners):
     return p
 
 
-class FaceClass:
-    """A face of the quotient complex: a glued pair of face slots.
-
-    ``rep`` is the lexicographically least incidence (tet, face_slot) and
-    ``other`` the second one.  Normal arcs are indexed by (face class, corner
-    slot), where corner slots 0..2 enumerate the corners of the representative
-    face in increasing local-vertex order.
-    """
-
-    __slots__ = ("index", "rep", "other")
-
-    def __init__(self, index, rep, other):
-        self.index = index
-        self.rep = rep
-        self.other = other
-
-    def __repr__(self):
-        return "FaceClass(%d, rep=%s, other=%s)" % (self.index, self.rep, self.other)
-
-
 class EdgeClass:
     """An edge of the quotient complex with its chosen direction.
 
@@ -207,32 +187,13 @@ class EdgeClass:
             self.index, t, self.tail_local, self.head_local)
 
 
-class VertexClass:
-    """A vertex of the quotient complex; ``slots``: its 4i+v, ascending."""
-
-    __slots__ = ("index", "rep", "slots")
-
-    def __init__(self, index, slots):
-        self.index = index
-        self.rep = divmod(slots[0], 4)
-        self.slots = slots
-
-    @property
-    def members(self):
-        return tuple(divmod(x, 4) for x in self.slots)
-
-    def __repr__(self):
-        return "VertexClass(%d, rep=%s, degree=%d)" % (
-            self.index, self.rep, len(self.slots))
-
-
 def _members(class_at):
-    """(class, its slots ascending) for each class of the per-slot
-    ``class_at``, whose classes are numbered in order of first slot."""
+    """The slots of each class of the per-slot ``class_at``, ascending, in
+    class order: the classes are numbered in order of first slot."""
     members = {}
     for x, c in enumerate(class_at):
         members.setdefault(c, []).append(x)
-    return [(c, tuple(slots)) for c, slots in members.items()]
+    return tuple(map(tuple, members.values()))
 
 
 class Triangulation:
@@ -247,8 +208,9 @@ class Triangulation:
     What only a report or a test reads is built on first use: the ends of
     an arc (``arc_end_ids(arcs)``, ``arc_ends(arc)``), each link's ``arcs``,
     ``arc_cells`` and 0-cells ``cells`` (with the Euler characteristic they
-    give), and the objects of ``vertex_classes``, ``edge_classes`` and
-    ``face_classes``.
+    give), the slot tuples of ``vertex_classes`` and the ``EdgeClass``
+    objects of ``edge_classes``.  The gluings stay in the flat per-slot
+    ``_partner`` and ``_perm``.
     """
 
     def __init__(self, doc):
@@ -343,24 +305,12 @@ class Triangulation:
         self._perm = perm
 
     @property
-    def face_classes(self):
-        """The FaceClass of every face, built on first use."""
-        classes = self._cache.get("faces")
-        if classes is None:
-            pairs = ((x, y) for x, y in enumerate(self._partner) if y > x)
-            classes = self._cache["faces"] = tuple(
-                FaceClass(c, divmod(x, 4), divmod(y, 4))
-                for c, (x, y) in enumerate(pairs))
-        return classes
-
-    @property
     def vertex_classes(self):
-        """The VertexClass of every vertex class, built on first use."""
+        """The slots 4i+v of every vertex class, ascending, built on first
+        use."""
         classes = self._cache.get("vertices")
         if classes is None:
-            classes = self._cache["vertices"] = tuple(
-                VertexClass(c, slots)
-                for c, slots in _members(self.vertex_class_at))
+            classes = self._cache["vertices"] = _members(self.vertex_class_at)
         return classes
 
     @property
@@ -370,7 +320,7 @@ class Triangulation:
         if classes is None:
             classes = self._cache["edges"] = tuple(
                 EdgeClass(self, e, slots)
-                for e, slots in _members(self.edge_class_at))
+                for e, slots in enumerate(_members(self.edge_class_at)))
         return classes
 
     def _compute_edge_classes(self):
@@ -455,14 +405,6 @@ class Triangulation:
     def quad_count(self):
         return 3 * self.tet_count
 
-    def partner(self, tet, face_slot):
-        return divmod(self._partner[4 * tet + face_slot], 4)
-
-    def corner_map(self, tet, face_slot):
-        """The gluing of ``face_slot`` as a permutation of {0,1,2,3} (omitted
-        vertex mapped to omitted vertex)."""
-        return PERMS[self._perm[4 * tet + face_slot]]
-
     def arc_name(self, arc):
         return "face %d corner %d" % (arc // 3, arc % 3)
 
@@ -472,7 +414,7 @@ class Triangulation:
 
     def __repr__(self):
         return "Triangulation(%d tets, %d vertices, %d edges, %d faces)" % (
-            self.tet_count, len(self.links), len(self.edge_classes),
+            self.tet_count, len(self.links), len(self._edge_first),
             2 * self.tet_count)
 
 

@@ -580,12 +580,12 @@ def face_sides(tri, face_class, corner_slot=0):
     positive may depend on the corner, since the three edges of a face need
     not be directed cyclically.
     """
-    fc = tri.face_classes[face_class]
-    i, f = fc.rep
+    rep, other = face_pairs(tri)[face_class]
+    i, f = rep
     corner = FACE_CORNERS[f][corner_slot]
     if arc_sign(tri, i, f, corner) == 1:
-        return fc.rep, fc.other
-    return fc.other, fc.rep
+        return rep, other
+    return other, rep
 
 
 def disc_boundary(tri, disc):
@@ -646,7 +646,7 @@ def matching_equations(tri):
     if cached is not None:
         return cached
 
-    rep_side = {fc.rep for fc in tri.face_classes}
+    rep_side = {rep for rep, _ in face_pairs(tri)}
     columns = [dict() for _ in range(tri.disc_count)]
 
     def add(disc, tet, face_slot, corner):
@@ -799,20 +799,18 @@ def check_admissible_loop(q, tet_count=None):
 def build_link(tri, vertex):
     """The link of one vertex class by a scan of every face class, the way
     the package built each link before it bucketed all links in one pass."""
-    vc = tri.vertex_classes[vertex]
-    triangles = tuple(sorted(triangle_disc(t, v) for t, v in vc.members))
+    triangles = tuple(sorted(triangle_disc(*divmod(x, 4))
+                             for x in tri.vertex_classes[vertex]))
 
     arcs = []
     arc_cells = {}
     arc_triangles = {}
-    for fc in tri.face_classes:
-        i, f = fc.rep
-        sigma = tri.corner_map(i, f)
-        j, _ = tri.partner(i, f)
+    for c, ((i, f), (j, _)) in enumerate(face_pairs(tri)):
+        _, sigma = gluing(tri, i, f)
         for slot, corner in enumerate(FACE_CORNERS[f]):
             if tri.vertex_class_at[4 * i + corner] != vertex:
                 continue
-            arc = 3 * fc.index + slot
+            arc = 3 * c + slot
             arcs.append(arc)
             p, q = directed_face_edge(tri, i, f, corner)
             arc_cells[arc] = (end_cell(tri, i, corner, p),
@@ -1109,6 +1107,21 @@ def triangle_disc(tet, corner):
     return 7 * tet + corner
 
 
+def face_pairs(tri):
+    """The two face slots (tet, face) of every face class, the
+    representative (the lesser slot 4i+f) first, in representative order:
+    entry c is face class c."""
+    return [(divmod(x, 4), divmod(y, 4))
+            for x, y in enumerate(tri._partner) if y > x]
+
+
+def gluing(tri, tet, face_slot):
+    """((tet, face) glued to ``face_slot``, the gluing as a permutation of
+    {0,1,2,3} taking the omitted vertex to the omitted vertex)."""
+    x = 4 * tet + face_slot
+    return divmod(tri._partner[x], 4), PERMS[tri._perm[x]]
+
+
 def arc_of(tri, tet, face_slot, corner):
     """Global index of the normal arc in the given face linking ``corner``:
     3 * (face class) + the position of the corner in the representative
@@ -1139,10 +1152,11 @@ def end_cell(tri, tet, cone, other):
 
 
 def arc_info(tri, arc):
-    """(face_class, corner_slot, rep_corner) for an arc index."""
-    fc = tri.face_classes[arc // 3]
+    """(representative (tet, face), corner_slot, rep_corner) for an arc
+    index."""
+    rep, _ = face_pairs(tri)[arc // 3]
     slot = arc % 3
-    return fc, slot, FACE_CORNERS[fc.rep[1]][slot]
+    return rep, slot, FACE_CORNERS[rep[1]][slot]
 
 
 def serialize(tri):
@@ -1151,8 +1165,7 @@ def serialize(tri):
     for i in range(tri.tet_count):
         row = []
         for f in range(4):
-            j, g = tri.partner(i, f)
-            sigma = tri.corner_map(i, f)
+            (j, g), sigma = gluing(tri, i, f)
             row.append({"tet": j, "face": g,
                         "corners": [sigma[v] for v in FACE_CORNERS[f]]})
         gluings.append(row)

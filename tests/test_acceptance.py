@@ -20,8 +20,9 @@ from quadlift.triangulation import FACE_CORNERS, perm_sign
 from conftest import DATA, load_doc
 from oracles import (apply_matching, arc_sign, box_solve,
                      check_witness_independence, cycle_test,
-                     enumerate_matching_solutions, flip_edge,
-                     fundamental_class, link_boundary_restriction_check,
+                     enumerate_matching_solutions, face_pairs, flip_edge,
+                     fundamental_class, gluing,
+                     link_boundary_restriction_check,
                      link_potential, matmul, minors_gcd, random_isomorphism,
                      random_matrix, relabel_doc, simplex_arc_sign, solve_integer,
                      translate_disc_vector, translate_quad_vector)
@@ -47,9 +48,8 @@ def test_criterion_01_matching_equivalence(acceptance_fixtures):
 def test_criterion_02_sign_antisymmetry(acceptance_fixtures):
     checks = 0
     for tri in acceptance_fixtures.values():
-        for fc in tri.face_classes:
-            (i, f), (j, g) = fc.rep, fc.other
-            sigma = tri.corner_map(i, f)
+        for (i, f), (j, g) in face_pairs(tri):
+            _, sigma = gluing(tri, i, f)
             for v in FACE_CORNERS[f]:
                 assert arc_sign(tri, i, f, v) == -arc_sign(tri, j, g, sigma[v])
                 checks += 1

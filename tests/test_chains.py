@@ -7,9 +7,10 @@ from quadlift.intlinalg import IntMatrix
 from quadlift.triangulation import FACE_CORNERS, perm_sign, quad_type_through
 from oracles import (apply_matching, arc_info, arc_of, arc_sign,
                      directed_face_edge, disc_boundary, edge_class,
-                     face_sides, flip_edge, fundamental_class, kernel_basis,
-                     matching_equations, quad_cut_corner, quad_type_cutting,
-                     simplex_arc_sign, to_dense, triangle_disc)
+                     face_pairs, face_sides, flip_edge, fundamental_class,
+                     gluing, kernel_basis, matching_equations,
+                     quad_cut_corner, quad_type_cutting, simplex_arc_sign,
+                     to_dense, triangle_disc)
 
 
 # ----------------------------------------------------------------------
@@ -45,9 +46,8 @@ def test_arc_sign_pinned_case(double_tet):
 
 def test_arc_sign_antisymmetry(all_fixtures):
     for tri in all_fixtures.values():
-        for fc in tri.face_classes:
-            (i, f), (j, g) = fc.rep, fc.other
-            sigma = tri.corner_map(i, f)
+        for (i, f), (j, g) in face_pairs(tri):
+            _, sigma = gluing(tri, i, f)
             for v in FACE_CORNERS[f]:
                 assert arc_sign(tri, i, f, v) == -arc_sign(tri, j, g, sigma[v])
 
@@ -62,29 +62,30 @@ def test_arc_sign_rejects_corner_outside_face(double_tet):
 
 def test_face_sides_opposite_per_corner(all_fixtures):
     for tri in all_fixtures.values():
-        for fc in tri.face_classes:
+        for c, (rep, other) in enumerate(face_pairs(tri)):
             for slot in range(3):
-                plus, minus = face_sides(tri, fc.index, slot)
-                assert {plus, minus} == {fc.rep, fc.other}
+                plus, minus = face_sides(tri, c, slot)
+                assert {plus, minus} == {rep, other}
                 i, f = plus
-                corner = (FACE_CORNERS[fc.rep[1]][slot] if plus == fc.rep
-                          else tri.corner_map(*fc.rep)[FACE_CORNERS[fc.rep[1]][slot]])
+                corner = FACE_CORNERS[rep[1]][slot]
+                if plus != rep:
+                    corner = gluing(tri, *rep)[1][corner]
                 assert arc_sign(tri, i, f, corner) == 1
 
 
 def test_face_sides_on_double_tet_split_tetrahedra(double_tet):
-    for fc in double_tet.face_classes:
-        plus, minus = face_sides(double_tet, fc.index)
+    for c in range(len(face_pairs(double_tet))):
+        plus, minus = face_sides(double_tet, c)
         assert plus[0] != minus[0]
 
 
 def test_face_sides_self_glued_face(one_tet):
     # both incidences on the same tetrahedron still get opposite labels
-    for fc in one_tet.face_classes:
-        assert fc.rep[0] == fc.other[0] == 0
+    for c, (rep, other) in enumerate(face_pairs(one_tet)):
+        assert rep[0] == other[0] == 0
         for slot in range(3):
-            plus, minus = face_sides(one_tet, fc.index, slot)
-            assert {plus, minus} == {fc.rep, fc.other}
+            plus, minus = face_sides(one_tet, c, slot)
+            assert {plus, minus} == {rep, other}
 
 
 # ----------------------------------------------------------------------
@@ -119,12 +120,11 @@ def test_glued_pair_triangle_contributions(double_tet):
     # for every arc, the triangle on the positive side contributes +1 and
     # the triangle on the negative side -1
     tri = double_tet
-    for fc in tri.face_classes:
-        (i, f), (j, g) = fc.rep, fc.other
-        sigma = tri.corner_map(i, f)
+    for c, ((i, f), (j, g)) in enumerate(face_pairs(tri)):
+        _, sigma = gluing(tri, i, f)
         for slot, v in enumerate(FACE_CORNERS[f]):
             arc = arc_of(tri, i, f, v)
-            plus, _ = face_sides(tri, fc.index, slot)
+            plus, _ = face_sides(tri, c, slot)
             c_rep = dict(disc_boundary(tri, triangle_disc(i, v)))[arc]
             c_other = dict(disc_boundary(tri, triangle_disc(j, sigma[v])))[arc]
             assert sorted((c_rep, c_other)) == [-1, 1]
@@ -204,8 +204,7 @@ def test_edge_flip_negates_rows_and_preserves_kernel(fig8):
         flipped = flip_edge(tri, e)
         flipped_dense = to_dense(boundary_matrix(flipped))
         for arc in range(tri.arc_count):
-            fc, _, corner = arc_info(tri, arc)
-            i, f = fc.rep
+            (i, f), _, corner = arc_info(tri, arc)
             x, y = (c for c in FACE_CORNERS[f] if c != corner)
             on_e = edge_class(tri, i, x, y) == e
             expect = [-v for v in base[arc]] if on_e else base[arc]

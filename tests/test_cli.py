@@ -56,6 +56,8 @@ def test_validate_json_counts_edge_classes_without_building_them(
     code, out, _ = invoke("validate", "--tri", path("fig8.json"), "--json")
     assert code == 0
     assert json.loads(out)["edge_classes"] == 2
+    tri = quadlift.parse_triangulation((DATA / "fig8.json").read_text())
+    assert repr(tri) == "Triangulation(2 tets, 1 vertices, 2 edges, 4 faces)"
 
 
 @pytest.mark.parametrize("tri, quads, code", [
@@ -68,8 +70,8 @@ def test_classify_json_builds_no_vertex_class_and_no_link_cells(
     def refuse(*args):
         raise AssertionError("built on a path that does not read it")
 
-    monkeypatch.setattr(quadlift.triangulation.VertexClass, "__init__",
-                        refuse)
+    # both vertex_classes and edge_classes are built by _members
+    monkeypatch.setattr(quadlift.triangulation, "_members", refuse)
     monkeypatch.setattr(quadlift.links, "link_cells", refuse)
     if quads is None:
         quads_path = path("fig8_spun_quads.json")

@@ -28,8 +28,8 @@ from quadlift.cli import run
 from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
 
 import generators as gen
-from oracles import (arc_of, directed_face_edge, end_cell, flip_edge,
-                     serialize, suspended_surface)
+from oracles import (arc_of, directed_face_edge, end_cell, face_pairs,
+                     flip_edge, gluing, serialize, suspended_surface)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_cli.json"
@@ -197,16 +197,16 @@ def parse_state(tri):
             f, corner = [v for v in range(4) if v not in (a, b)]
             directions.append(directed_face_edge(tri, i, f, corner))
     return {
-        "faces": [(fc.index, fc.rep, fc.other) for fc in tri.face_classes],
-        "vertices": [(vc.index, vc.rep, vc.members)
-                     for vc in tri.vertex_classes],
+        "faces": [(c, rep, other)
+                  for c, (rep, other) in enumerate(face_pairs(tri))],
+        "vertices": [(c, divmod(slots[0], 4), [divmod(x, 4) for x in slots])
+                     for c, slots in enumerate(tri.vertex_classes)],
         "edges": [(e.index, e.rep, e.members, e.tail_local, e.head_local,
                    e.tail_vertex, e.head_vertex, e.valence)
                   for e in tri.edge_classes],
         "orientation": tri.tet_orientation,
         "directions": directions,
-        "gluings": [(tri.partner(i, f), tri.corner_map(i, f))
-                    for i, f in slots],
+        "gluings": [gluing(tri, i, f) for i, f in slots],
         "arc_of": [arc_of(tri, i, f, c) for i, f in slots
                    for c in FACE_CORNERS[f]],
         "end_cell": [end_cell(tri, i, a, b) for i in range(t)

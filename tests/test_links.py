@@ -11,8 +11,8 @@ from quadlift.links import build_all_links
 from quadlift.solver import quad_boundary
 from quadlift.triangulation import FACE_CORNERS
 from oracles import (arc_of, build_link, directed_face_edge, disc_boundary,
-                     dual_tree, end_cell, flip_edge, fundamental_class,
-                     kernel_basis, link_boundary_matrix,
+                     dual_tree, end_cell, face_pairs, flip_edge,
+                     fundamental_class, kernel_basis, link_boundary_matrix,
                      link_boundary_restriction_check, link_potential,
                      projection, small_vectors, suspended_surface)
 import generators as gen
@@ -85,8 +85,7 @@ def oracle_arc_ends(tri):
     """The (tail, head) 0-cells of every arc, arc by arc, from the directed
     edge of its representative face opposite the linked corner."""
     ends = []
-    for fc in tri.face_classes:
-        i, f = fc.rep
+    for (i, f), _ in face_pairs(tri):
         for corner in FACE_CORNERS[f]:
             p, q = directed_face_edge(tri, i, f, corner)
             ends.append((end_cell(tri, i, corner, p),

@@ -121,18 +121,23 @@ def small_gluing(draw):
 def assert_vertex_classes(tri, classes):
     """The vertex classes are ``classes``, the orbit closure of the raw
     corner gluings, numbered by first slot, with their links' triangles."""
-    assert {frozenset(vc.members) for vc in tri.vertex_classes} == classes
+    assert set(map(corners, tri.vertex_classes)) == classes
     assert len(tri.vertex_classes) == len(classes)
-    firsts = [vc.slots[0] for vc in tri.vertex_classes]
+    firsts = [slots[0] for slots in tri.vertex_classes]
     assert firsts == sorted(set(firsts))
     at = [None] * (4 * tri.tet_count)
-    for c, (vc, link) in enumerate(zip(tri.vertex_classes, tri.links)):
-        assert vc.index == link.vertex == c
-        assert list(vc.slots) == sorted(vc.slots)
-        for x in vc.slots:
+    for c, (slots, link) in enumerate(zip(tri.vertex_classes, tri.links)):
+        assert link.vertex == c
+        assert list(slots) == sorted(slots)
+        for x in slots:
             at[x] = c
-        assert link.triangles == tuple(7 * i + v for i, v in vc.members)
+        assert link.triangles == tuple(7 * (x >> 2) + (x & 3) for x in slots)
     assert tuple(at) == tri.vertex_class_at
+
+
+def corners(slots):
+    """The (tet, vertex) corners of the vertex slots 4i+v."""
+    return frozenset(divmod(x, 4) for x in slots)
 
 
 def assert_proved_invariants(doc, tri):
@@ -141,8 +146,8 @@ def assert_proved_invariants(doc, tri):
     classes, directions, _ = union_find_edge_classes(tri)
     assert (tri.edge_class_at, tri.edge_direction_at) == (classes, directions)
     assert_vertex_classes(tri, set(chis))
-    for vc, link in zip(tri.vertex_classes, tri.links):
-        assert chis[frozenset(vc.members)] == link.euler_characteristic
+    for slots, link in zip(tri.vertex_classes, tri.links):
+        assert chis[corners(slots)] == link.euler_characteristic
         assert link.euler_characteristic % 2 == 0
         assert link.tree == dual_tree(link, len(link.triangles) - 1,
                                       tri.arc_discs)

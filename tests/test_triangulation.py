@@ -10,8 +10,9 @@ from quadlift import TriangulationError, parse_triangulation
 from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
 from conftest import FAMILY_DOCS, load_doc
 from oracles import (brute_force_class_counts, edge_class, edge_direction,
-                     flip_edge, random_isomorphism, relabel_doc, serialize,
-                     suspended_surface, to_text, union_find_edge_classes)
+                     face_pairs, flip_edge, gluing, random_isomorphism,
+                     relabel_doc, serialize, suspended_surface, to_text,
+                     union_find_edge_classes)
 
 import generators as gen
 
@@ -20,7 +21,7 @@ def test_double_tet_class_counts(double_tet):
     assert double_tet.tet_count == 2
     assert len(double_tet.vertex_classes) == 4
     assert len(double_tet.edge_classes) == 6
-    assert len(double_tet.face_classes) == 4
+    assert len(face_pairs(double_tet)) == 4
     # Euler characteristic of a closed 3-pseudo-manifold
     assert 4 - 6 + 4 - 2 == 0
 
@@ -33,7 +34,7 @@ def test_class_counts_against_union_find_oracle(name):
     tri = parse_triangulation(doc)
     v, e, f = brute_force_class_counts(doc)
     assert (len(tri.vertex_classes), len(tri.edge_classes),
-            len(tri.face_classes)) == (v, e, f)
+            len(face_pairs(tri))) == (v, e, f)
     # chi = 0 for every closed 3-pseudo-manifold with surface links of even chi
     chi_links = sum(l.euler_characteristic for l in tri.links)
     assert v - e + f - tri.tet_count == v - chi_links // 2
@@ -105,8 +106,7 @@ def test_orientation_relation(all_fixtures):
     for tri in all_fixtures.values():
         for i in range(tri.tet_count):
             for f in range(4):
-                j, _ = tri.partner(i, f)
-                sigma = tri.corner_map(i, f)
+                (j, _), sigma = gluing(tri, i, f)
                 assert (tri.tet_orientation[i] * perm_sign(sigma)
                         == -tri.tet_orientation[j])
 
@@ -139,8 +139,8 @@ def test_involution_invariant(all_fixtures):
     for tri in all_fixtures.values():
         for i in range(tri.tet_count):
             for f in range(4):
-                j, g = tri.partner(i, f)
-                assert tri.partner(j, g) == (i, f)
+                (j, g), _ = gluing(tri, i, f)
+                assert gluing(tri, j, g)[0] == (i, f)
 
 
 def test_round_trip_stability(all_fixtures):
@@ -276,8 +276,7 @@ def assert_gluings_respect_classes(tri):
     the representative sides alone, so this checks the partner sides."""
     for i in range(tri.tet_count):
         for f in range(4):
-            j, _ = tri.partner(i, f)
-            sigma = tri.corner_map(i, f)
+            (j, _), sigma = gluing(tri, i, f)
             for v in FACE_CORNERS[f]:
                 assert (tri.vertex_class_at[4 * i + v]
                         == tri.vertex_class_at[4 * j + sigma[v]])
