@@ -9,17 +9,17 @@ ends with one ``error:`` line on stderr and nothing on stdout, and identical
 input gives byte-identical output.
 """
 
-import argparse
 import io
 import json
 import re
 import sys
 from contextlib import contextmanager
-from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import chains, solver
 from .intlinalg import IntMatrix, smith_normal_form
+from .record import Record
 from .triangulation import Triangulation, TriangulationError
 
 EX_OK = 0
@@ -75,17 +75,21 @@ class _Usage(Exception):
     or a usage error for ``err``."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises _Usage where argparse would print and exit, so that ``run``
-    returns every code.  A usage error gets EX_USAGE instead of argparse's
-    2, which is the SpunNormal code."""
+def _ArgumentParser(prog):
+    """An argparse parser, built only for help and usage errors, that raises
+    _Usage where argparse would print and exit, so that ``run`` returns every
+    code: a usage error gets EX_USAGE, not argparse's 2 (SpunNormal)."""
+    import argparse
 
-    def print_help(self, file=None):
-        raise _Usage(EX_OK, self.format_help())
+    class ArgumentParser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            raise _Usage(EX_OK, self.format_help())
 
-    def error(self, message):
-        raise _Usage(EX_USAGE, "%s%s: error: %s\n"
-                     % (self.format_usage(), self.prog, message))
+        def error(self, message):
+            raise _Usage(EX_USAGE, "%s%s: error: %s\n"
+                         % (self.format_usage(), self.prog, message))
+
+    return ArgumentParser(prog=prog)
 
 
 # flag: (dest, help).  ``--json`` is a switch; every other flag is required
@@ -132,46 +136,41 @@ def _read_args(flags, argv):
         given[flag] = value
     if any(flag not in given for flag in flags if flag != "--json"):
         return None
-    return argparse.Namespace(**{_FLAGS[flag][0]: given.get(flag, False)
-                                 for flag in flags})
+    return SimpleNamespace(**{_FLAGS[flag][0]: given.get(flag, False)
+                              for flag in flags})
 
 
-def _int_rows(rows, indent):
-    """The body at ``indent`` of a list of int rows of one nonzero length,
-    as one ``%`` of a row template repeated over the flattened values; None
-    for any other list."""
-    if (not {list, tuple}.issuperset(map(type, rows))
-            or len(set(map(len, rows))) != 1 or not rows[0]):
-        return None
-    flat = tuple(chain.from_iterable(rows))
-    if not {int}.issuperset(map(type, flat)):   # a bool prints as true
-        return None
-    sep = ",\n" + indent
-    row = ("[\n" + indent + "  " + (sep + "  ").join(["%s"] * len(rows[0]))
-           + "\n" + indent + "]")
-    return sep.join([row] * len(rows)) % flat
+class _Rows(Record):
+    """A nonempty flat vector of ints that prints as a JSON list of rows of
+    ``width``, such as a lift's rows of 7."""
+
+    __slots__ = ("flat", "width")
 
 
 def _json_text(value, indent):
     """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives for
     ``value`` at ``indent``, without the pure-Python encoder that ``indent``
-    selects.  An int prints through ``str``; a list of ints, such as a row
-    of coordinates, is one join; and a list of int rows of one nonzero
-    length, such as the rows of a lift, is one ``%`` (:func:`_int_rows`).
-    Bools, ``None``, empty and ragged rows go through the recursion.  Dict
-    keys must be str; tuples print as lists."""
+    selects, and with each _Rows printed as its list of rows.  An int prints
+    through ``str``; a list of ints, such as a row of coordinates, is one
+    join; and the rows of a _Rows are one ``%`` of a row template repeated
+    over the flat values.  Other values go through the recursion.  Dict keys
+    must be str; tuples print as lists."""
     if type(value) is int:
         return str(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, _Rows)):
         if not value:
             return "[]"
         inner = indent + "  "
         sep = ",\n" + inner
-        if all(type(v) is int for v in value):
+        if type(value) is _Rows:
+            cells = (sep + "  ").join(["%s"] * value.width)
+            row = "[\n" + inner + "  " + cells + "\n" + inner + "]"
+            body = (sep.join([row] * (len(value.flat) // value.width))
+                    % tuple(value.flat))
+        elif all(type(v) is int for v in value):
             body = sep.join(map(str, value))
         else:
-            body = _int_rows(value, inner) or sep.join(
-                [_json_text(v, inner) for v in value])
+            body = sep.join([_json_text(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(value, dict):
         if not value:
@@ -276,7 +275,7 @@ def _cmd_classify(args, out):
         if args.as_json:
             payload = {
                 "classification": result.classification,
-                "coords": (solver.normal_coords_doc(result.canonical_lift)["coords"]
+                "coords": (_Rows(result.canonical_lift, 7)
                            if result.canonical_lift is not None else None),
                 "shifts": {str(v): m for v, m in sorted(result.per_vertex_shift.items())},
                 "cycle_failures": [
@@ -292,8 +291,8 @@ def _cmd_classify(args, out):
 
         out.write("classification %s\n" % result.classification)
         if result.classification == solver.NORMAL:
-            rows = solver.normal_coords_doc(result.canonical_lift)["coords"]
-            for tet, row in enumerate(rows):
+            for tet in range(tri.tet_count):
+                row = result.canonical_lift[7 * tet:7 * tet + 7]
                 out.write("canonical tet %d: %s\n" % (tet, " ".join(map(str, row))))
             for v, m in sorted(result.per_vertex_shift.items()):
                 out.write("shift vertex %d: %d\n" % (v, m))

@@ -7,7 +7,7 @@ row-major index on ties), a standard heuristic that keeps coefficients small
 and makes every decomposition deterministic.
 """
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class IntMatrix:
@@ -37,14 +37,10 @@ class IntMatrix:
         return "IntMatrix(%r)" % (self.rows,)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    invariant_factors: tuple
+    __slots__ = ("U", "D", "V", "invariant_factors")
 
     @property
     def rank(self):
@@ -136,8 +132,7 @@ def smith_normal_form(a):
     return SmithDecomposition(IntMatrix(u), IntMatrix(d), IntMatrix(v), factors)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Outcome of an integer linear solve.
 
     ``reason`` is None on success, otherwise "no rational solution" (the
@@ -145,8 +140,10 @@ class SolveResult:
     (rationally solvable, but no integral point exists).
     """
 
-    solution: list
-    reason: str = None
+    __slots__ = ("solution", "reason")
+
+    def __init__(self, solution, reason=None):
+        super().__init__(solution, reason)
 
     @property
     def ok(self):

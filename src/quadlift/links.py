@@ -14,7 +14,7 @@ from functools import cache, partial
 from itertools import product
 from operator import itemgetter
 
-from .triangulation import (FACE_CORNERS, PERMS, _slot, edge_ends, perm_sign,
+from .triangulation import (_SIGN, FACE_CORNERS, PERMS, _slot, edge_ends,
                             quad_type_through)
 
 
@@ -28,7 +28,7 @@ def _arc_rows(f, sigma):
         x, y = (u for u in FACE_CORNERS[f] if u != v)
         rows.append((v, sigma[v], quad_type_through(f, v) + 3,
                      quad_type_through(sigma[f], sigma[v]) + 3,
-                     _slot(x, y), perm_sign((v, x, y, f))))
+                     _slot(x, y), _SIGN[v, x, y, f]))
     return tuple(rows)
 
 

@@ -34,13 +34,12 @@ write only triangle entries, so dcoords = 0 exactly when the triangle half
 of each row gives -b, and coords >= 0.
 """
 
-from dataclasses import dataclass, field
-
 from . import chains
 # Neither name is used here.  perfbench/test_bench.py's tracer test deletes
 # ``solver.smith_normal_form`` and expects every other traced target, among
 # them ``solver.solve_with_smith``, to still exist.
 from .intlinalg import smith_normal_form, solve_with_smith  # noqa: F401
+from .record import Record
 from .triangulation import quad_disc
 
 NORMAL = "Normal"
@@ -48,12 +47,11 @@ SPUN_NORMAL = "SpunNormal"
 NOT_NORMAL = "NotNormal"
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     """Violations of non-negativity and of the one-quad-type-per-tet rule."""
 
-    negatives: tuple    # (tet, quad type, value)
-    conflicts: tuple    # (tet, (types with nonzero coefficient...))
+    __slots__ = ("negatives",   # (tet, quad type, value)
+                 "conflicts")   # (tet, (types with nonzero coefficient...))
 
     @property
     def ok(self):
@@ -139,8 +137,7 @@ def cycle_imbalance(tri, residual, vertex):
     return {divmod(c, 2): s for c, s in sorted(sums.items()) if s}
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Record):
     """Outcome of classifying a quad vector.
 
     ``canonical_lift`` (present only for Normal) is the full disc vector with
@@ -150,11 +147,14 @@ class LiftResult:
     link's last triangle, the root of the walk of :func:`boundary_test`.
     """
 
-    classification: str
-    canonical_lift: list = None
-    per_vertex_shift: dict = field(default_factory=dict)
-    cycle_failures: tuple = ()
-    boundary_failures: tuple = ()
+    __slots__ = ("classification", "canonical_lift", "per_vertex_shift",
+                 "cycle_failures", "boundary_failures")
+
+    def __init__(self, classification, canonical_lift=None,
+                 per_vertex_shift=None, cycle_failures=(), boundary_failures=()):
+        super().__init__(classification, canonical_lift,
+                         {} if per_vertex_shift is None else per_vertex_shift,
+                         cycle_failures, boundary_failures)
 
 
 def lift(tri, q):
@@ -199,14 +199,13 @@ def lift(tri, q):
     return LiftResult(NORMAL, coords, dict(enumerate(shift)))
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(Record):
     """Checks of a full disc vector: non-negative, admissible, and in the
     kernel of the boundary map (equivalently, all matching equations hold)."""
 
-    negatives: tuple        # (disc, value)
-    admissibility: AdmissibilityReport
-    violated_arcs: tuple    # (arc, boundary coefficient)
+    __slots__ = ("negatives",        # (disc, value)
+                 "admissibility",    # an AdmissibilityReport
+                 "violated_arcs")    # (arc, boundary coefficient)
 
     @property
     def ok(self):
@@ -257,7 +256,3 @@ def load_quads(doc, tet_count):
 def load_normal_coords(doc, tet_count):
     """Read {"coords": [[t0,t1,t2,t3,q1,q2,q3] x t]} into a flat disc vector."""
     return _load_rows(doc, tet_count, "coords", 7, "coordinates", "coordinate")
-
-
-def normal_coords_doc(coords):
-    return {"coords": [list(coords[i:i + 7]) for i in range(0, len(coords), 7)]}

@@ -74,6 +74,7 @@ PERMS = tuple(permutations(range(4)))
 _PERM_INVERSE = tuple(PERMS.index(tuple(map(sigma.index, range(4))))
                       for sigma in PERMS)
 _PERM_SIGN = tuple(map(perm_sign, PERMS))
+_SIGN = dict(zip(PERMS, _PERM_SIGN))   # the signs keyed by permutation
 
 # _GLUING[(f, g, c0, c1, c2)] is the permutation taking face f to face g and
 # the corners FACE_CORNERS[f] to c0, c1, c2.  A key is there exactly when it

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadlift
-from quadlift.cli import (_HANDLERS, _Usage, _emit_json, _parser, _read_args,
-                          run)
+from quadlift.cli import (_HANDLERS, _Rows, _Usage, _emit_json, _parser,
+                          _read_args, run)
 
 from conftest import DATA
 
@@ -534,6 +534,42 @@ def test_module_entry_point_exits_with_the_code_and_bytes_of_run(tmp_path):
             code, out.encode(), err.encode())
 
 
+# Prints the exit codes of run() on the argv lists given as its argument,
+# then the modules among NAMES that importing the CLI and the runs loaded.
+LOADED = """
+import io, sys
+NAMES = {"argparse", "dataclasses", "inspect"}
+before = set(sys.modules)
+from quadlift.cli import run
+for argv in %r:
+    print(run(argv, out=io.StringIO(), err=io.StringIO()))
+print(" ".join(sorted(NAMES.intersection(sys.modules).difference(before))))
+"""
+
+
+def loaded_by(*argvs):
+    """The output of LOADED in a fresh interpreter, which pytest's own
+    imports, argparse among them, cannot hide."""
+    src = os.path.dirname(os.path.dirname(quadlift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", LOADED % (list(argvs),)],
+                          capture_output=True, env=env, check=True, text=True)
+    return proc.stdout.splitlines()
+
+
+def test_classify_loads_neither_argparse_nor_dataclasses_nor_inspect():
+    tri, quads = path("double_tet.json"), path("double_q1q1_quads.json")
+    spun = ["--tri", path("fig8.json"), "--quads", path("fig8_spun_quads.json")]
+    assert loaded_by(["classify", "--tri", tri, "--quads", quads, "--json"],
+                     ["classify", "--quads", quads, "--tri", tri],
+                     ["classify"] + spun + ["--json"]) == ["0", "0", "2", ""]
+
+
+def test_help_and_usage_errors_load_argparse():
+    assert loaded_by(["classify", "--help"]) == ["0", "argparse"]
+    assert loaded_by(["snf"]) == ["64", "argparse"]
+
+
 # JSON values as the CLI's payloads hold them, and more: tuples, empties,
 # integers past 64 bits, and strings with quotes, control characters and
 # non-ASCII text
@@ -551,8 +587,7 @@ def rows_of(items):
     return st.integers(0, 4).flatmap(rows)
 
 
-# int rows take the writer's one-% branch; a bool or None in a row sends
-# the list back to the recursion
+# rows of ints, bools and None go through the writer's recursion
 ROWS = st.one_of(rows_of(INTS), rows_of(st.one_of(INTS, st.booleans(),
                                                   st.none())))
 JSON_VALUES = st.recursive(
@@ -585,9 +620,22 @@ def test_the_json_writer_prints_rows_as_json_dumps(value):
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 7).flatmap(lambda width: st.lists(
+    st.lists(INTS, min_size=width, max_size=width), min_size=1, max_size=4)))
+def test_the_json_writer_prints_flat_rows_as_json_dumps_prints_the_rows(rows):
+    flat = [x for row in rows for x in row]
+    out = io.StringIO()
+    _emit_json({"coords": _Rows(flat, len(rows[0])), "rows": [rows]}, out)
+    assert out.getvalue() == json.dumps({"coords": rows, "rows": [rows]},
+                                        indent=2, sort_keys=True) + "\n"
+
+
 def test_a_row_past_the_digit_limit_raises_as_json_dumps_does():
     value = [[1, 2], [10 ** 5000, 3]]
     with pytest.raises(ValueError):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(ValueError):
         _emit_json(value, io.StringIO())
+    with pytest.raises(ValueError):
+        _emit_json(_Rows([1, 2, 10 ** 5000, 3], 2), io.StringIO())

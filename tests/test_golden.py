@@ -146,8 +146,15 @@ def test_the_json_writer_prints_json_dumps_on_every_golden_payload(
     for payload in payloads:
         out = io.StringIO()
         emit(payload, out)
-        assert out.getvalue() == json.dumps(payload, indent=2,
-                                            sort_keys=True) + "\n"
+        assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True,
+                                            default=row_form) + "\n"
+
+
+def row_form(rows):
+    """The list of rows that a ``cli._Rows`` prints as."""
+    assert type(rows) is cli._Rows
+    flat, width = rows.flat, rows.width
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
 def test_the_documented_forms_build_no_parser(tmp_path, monkeypatch):
