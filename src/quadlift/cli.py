@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from . import chains, solver
 from .intlinalg import IntMatrix, smith_normal_form
 from .record import Record
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import Triangulation, TriangulationError, edge_ends
 
 EX_OK = 0
 EX_INPUT = 1
@@ -216,8 +216,7 @@ def _cmd_validate(args, out):
             "valid": True,
             "tets": tri.tet_count,
             "vertex_classes": len(tri.links),   # a link per vertex class
-            # classes are numbered 0..E-1 by first slot
-            "edge_classes": max(tri.edge_class_at) + 1,
+            "edge_classes": len(tri._edge_first),
             "face_classes": 2 * tri.tet_count,
             "orientations": list(tri.tet_orientation),
             "links": _link_summaries(tri),
@@ -226,13 +225,18 @@ def _cmd_validate(args, out):
     out.write("valid\n")
     out.write("tets %d\n" % tri.tet_count)
     out.write("vertex classes %d\n" % len(tri.links))
-    out.write("edge classes %d\n" % len(tri.edge_classes))
+    first = tri._edge_first   # first[e]: the first member 6i+k of class e
+    out.write("edge classes %d\n" % len(first))
     out.write("face classes %d\n" % (2 * tri.tet_count))
     for i, sign in enumerate(tri.tet_orientation):
         out.write("orientation tet %d: %+d\n" % (i, sign))
-    for e in tri.edge_classes:
+    valence = [0] * len(first)
+    for e in tri.edge_class_at:
+        valence[e] += 1
+    for e, x in enumerate(first):
+        tail, head = edge_ends(x, tri.edge_direction_at[x])
         out.write("edge %d: tet %d %d->%d valence %d\n"
-                  % (e.index, e.rep[0], e.tail_local, e.head_local, e.valence))
+                  % (e, x // 6, tail & 3, head & 3, valence[e]))
     return EX_OK
 
 

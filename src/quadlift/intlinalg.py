@@ -33,6 +33,9 @@ class IntMatrix:
                              % (len(vec), self.ncols))
         return [sum(a * x for a, x in zip(row, vec)) for row in self.rows]
 
+    def __reduce__(self):   # pickles at every protocol, as slots alone do not
+        return IntMatrix, (self.rows,)
+
     def __repr__(self):
         return "IntMatrix(%r)" % (self.rows,)
 

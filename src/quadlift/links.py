@@ -85,17 +85,16 @@ def arc_ends(end_ids, cell_list, arc):
     return cell[tail], cell[head]
 
 
-def link_cells(first, edge_dir, vertex_class, cell_list, count):
-    """The 0-cells of each of the ``count`` links, by one scan over the edge
-    classes: the tail of class e (first member ``first[e]``) lies on the
-    link of its tail vertex, and its head on that of its head vertex."""
-    cell = cell_list()
-    cells = [[] for _ in range(count)]
-    for e, x in enumerate(first):
-        tail, head = edge_ends(x, edge_dir[x])
-        cells[vertex_class[tail]].append(cell[2 * e])
-        cells[vertex_class[head]].append(cell[2 * e + 1])
-    return tuple(map(tuple, cells))
+def link_cell_counts(first, vertex_class, count):
+    """The number of 0-cells of each of the ``count`` links, by one scan
+    over the edge classes: each end of class e (first member ``first[e]``)
+    is a 0-cell of the link of the vertex there."""
+    counts = [0] * count
+    for x in first:
+        tail, head = edge_ends(x, 1)
+        counts[vertex_class[tail]] += 1
+        counts[vertex_class[head]] += 1
+    return counts
 
 
 class VertexLink:
@@ -103,10 +102,10 @@ class VertexLink:
 
     * ``triangles``: disc indices of the link's normal triangles, sorted.
     * ``arcs``: global arc indices of its 1-cells, sorted.
-    * ``cells``: its 0-cells as (edge class, end) pairs, end 0=tail 1=head,
-      entry ``vertex`` of ``all_cells()``, which gives those of every link
-      (:func:`link_cells`); ``euler_characteristic``, ``genus`` and
-      ``is_sphere`` count them.
+    * ``euler_characteristic``, ``genus`` and ``is_sphere`` count its
+      0-cells, entry ``vertex`` of ``cell_counts()``, which gives the count
+      of every link (:func:`link_cell_counts`).  A 0-cell is an (edge class,
+      end) pair, end 0=tail 1=head.
     * ``arc_cells[arc]``: the (tail, head) 0-cells of the oriented arc, by
       ``ends``, the triangulation's ``arc_ends``; built on first use.
     * ``gather(w)``: the tuple of a disc-indexed ``w`` at ``triangles``.
@@ -124,13 +123,13 @@ class VertexLink:
     reference to the triangulation.
     """
 
-    __slots__ = ("vertex", "triangles", "all_cells", "gather", "forest",
+    __slots__ = ("vertex", "triangles", "cell_counts", "gather", "forest",
                  "span", "ends", "_arc_cells")
 
-    def __init__(self, vertex, triangles, all_cells, forest, span, ends):
+    def __init__(self, vertex, triangles, cell_counts, forest, span, ends):
         self.vertex = vertex
         self.triangles = triangles
-        self.all_cells = all_cells
+        self.cell_counts = cell_counts
         self.gather = itemgetter(*triangles)
         self.forest = forest
         self.span = span
@@ -138,13 +137,9 @@ class VertexLink:
         self._arc_cells = None
 
     @property
-    def cells(self):
-        return self.all_cells()[self.vertex]
-
-    @property
     def euler_characteristic(self):
         start, end, first, last = self.span
-        return (len(self.cells) - (end - start + last - first)
+        return (self.cell_counts()[self.vertex] - (end - start + last - first)
                 + len(self.triangles))
 
     @property
@@ -205,8 +200,9 @@ def build_all_links(tri):
     tetrahedron the two triangles can be one disc, whose terms cancel; the
     two quads are always different types.  The ends of an arc
     (:func:`arc_end_ids`, :func:`arc_ends`), each link's ``arcs`` and
-    ``arc_cells``, the 0-cells of all links (:func:`link_cells`) and the
-    tuples they share (:func:`cell_tuples`) are built on first use.
+    ``arc_cells``, the 0-cell count of every link (:func:`link_cell_counts`)
+    and the 0-cell tuples the arcs share (:func:`cell_tuples`) are built on
+    first use.
 
     The forest visits the triangles in descending order, so each tree grows
     breadth first from its link's last triangle, through each disc's arcs
@@ -221,8 +217,8 @@ def build_all_links(tri):
     edge_class, edge_dir = tri.edge_class_at, tri.edge_direction_at
     orientation, perm = tri.tet_orientation, tri._perm
     first = tri._edge_first   # first[e]: the first member 6i+k of class e
-    # one tuple per 0-cell (edge class, end), shared by every link and arc,
-    # made on the first read of any
+    # one tuple per 0-cell (edge class, end), shared by every arc, made on
+    # the first read of any
     cell_list = cache(partial(cell_tuples, len(first)))
     # sides[3d:3d + fill[d]]: the arcs of disc d, in index order
     sides = [0] * (21 * tri.tet_count)
@@ -288,13 +284,13 @@ def build_all_links(tri):
     tri.arc_end_ids = end_ids = partial(arc_end_ids, arc_discs, edge_class,
                                         edge_dir)
     tri.arc_ends = ends = partial(arc_ends, end_ids, cell_list)
-    all_cells = cache(partial(link_cells, first, edge_dir, vertex_class,
-                              cell_list, len(trees)))
+    cell_counts = cache(partial(link_cell_counts, first, vertex_class,
+                                len(trees)))
     links = []
     for c, (triangles, start, end, tree_closing) in enumerate(trees):
         opening = len(closing)
         closing += closings[c] + tree_closing
-        links.append(VertexLink(c, tuple(triangles), all_cells, forest,
+        links.append(VertexLink(c, tuple(triangles), cell_counts, forest,
                                 (start, end, opening, len(closing)), ends))
     return tuple(links)
 

@@ -19,14 +19,14 @@ restricted to each vertex link, bounds there.  Three outcomes:
 Every arc of a link lies on exactly two link triangles with opposite signs,
 so "bounds, and of what?" is a potential difference on the link's dual
 graph.  With d the boundary map, ``lift`` makes one pass per stage over the
-whole triangulation, so a query costs O(t): the quad boundary b, the
-quad half of the rows of the boundary matrix ``tri.arc_discs`` applied to
-the quad chain (:func:`quad_boundary`); one walk over the dual forest of
-the links (``tri.forest``), with w = 0 at each root, and one filter that
-keeps the nonzero residuals r = b + dw on the arcs outside the trees
-(:func:`boundary_test`); the cycle test of each link on the 0-cell sums of
-its residuals (:func:`cycle_imbalance`); and the shift of each link's
-minimum to 0.  As ddw = 0, r has the 0-cell sums of b, so b is a cycle on a
+whole triangulation, so a query costs O(t): the quad boundary b, the quad
+half of the rows of the boundary matrix ``tri.arc_discs`` applied to the
+quad chain; one walk over the dual forest of the links (``tri.forest``),
+with w = 0 at each root, and one filter that keeps the nonzero residuals
+r = b + dw on the arcs outside the trees (:func:`boundary_test`); the
+cycle test of each link on the 0-cell sums of its residuals
+(:func:`cycle_imbalance`); and the shift of each link's minimum to 0.
+As ddw = 0, r has the 0-cell sums of b, so b is a cycle on a
 link exactly when r is; as the tree fixes w, b bounds exactly when r = 0,
 over the integers too (H1 of a closed orientable surface is torsion-free).
 A Normal lift is then checked against its rows: the walk and the shift
@@ -58,12 +58,10 @@ class AdmissibilityReport(Record):
         return not self.negatives and not self.conflicts
 
 
-def check_admissible(q, tet_count=None):
-    if tet_count is not None and len(q) != 3 * tet_count:
+def check_admissible(q, tet_count):
+    if len(q) != 3 * tet_count:
         raise ValueError("expected %d quad coordinates, got %d"
                          % (3 * tet_count, len(q)))
-    if len(q) % 3:
-        raise ValueError("quad vector length %d is not a multiple of 3" % len(q))
     negatives = []
     conflicts = []
     # one test per tetrahedron; entries are built only for one that fails
@@ -96,13 +94,6 @@ def quad_part(tri, chain2):
             for tet in range(tri.tet_count) for k in (1, 2, 3)]
 
 
-def quad_boundary(tri, q):
-    """The boundary b of the quad chain c, indexed by arc: s * (c[quad_a] -
-    c[quad_b]) for each arc's row of the boundary matrix ``tri.arc_discs``."""
-    chain = quad_chain(tri, q)
-    return [s * (chain[a] - chain[b]) for s, _, _, a, b in tri.arc_discs]
-
-
 def boundary_test(tri, b, w):
     """Write into ``w`` (indexed by disc, 0 at each root) the potential
     that makes r = b + dw vanish on the tree arcs of ``tri.forest``, and
@@ -123,8 +114,11 @@ def boundary_test(tri, b, w):
 def cycle_imbalance(tri, residual, vertex):
     """The nonzero sums of the residuals of ``vertex`` at their end 0-cells,
     which are those of b: none exactly when b is a 1-cycle on its link.
-    The ends of the link's residual arcs are computed in one call, as ids
-    2e + end, and a cell's (e, end) tuple is made only for a nonzero sum."""
+    The sum at 0-cell (e, end) is edge e's Q-matching equation read at one
+    end: of each tetrahedron round e, only the two quads that cut e have an
+    arc there.  The cell (e, 1 - end) has the same sum.  The ends of the
+    link's residual arcs are computed in one call, as ids 2e + end, and a
+    cell's (e, end) tuple is made only for a nonzero sum."""
     entries = residual.get(vertex)
     if not entries:
         return {}
@@ -172,6 +166,7 @@ def lift(tri, q):
     rows = chains.boundary_matrix(tri).rows
     # the triangle entries of coords start at 0, so every root's is 0
     coords = quad_chain(tri, q)
+    # the quad boundary: the quad half of each row applied to the quad chain
     b = [s * (coords[x] - coords[y]) for s, _, _, x, y in rows]
     residual = boundary_test(tri, b, coords)
     cycle_failures = []

@@ -63,12 +63,6 @@ def edge_ends(x, direction):
     return x // 6 * 4 + a, x // 6 * 4 + b
 
 
-def _edge_name(x):
-    """(tet, a, b) of the local edge {a, b} (a < b) at flat index x."""
-    i, k = divmod(x, 6)
-    return (i,) + LOCAL_EDGES[k]
-
-
 # Gluings are stored as indices into PERMS, the 24 permutations of {0,1,2,3}.
 PERMS = tuple(permutations(range(4)))
 _PERM_INVERSE = tuple(PERMS.index(tuple(map(sigma.index, range(4))))
@@ -153,39 +147,19 @@ def _gluing_of(t, i, f, j, g, corners):
 
 
 class EdgeClass:
-    """An edge of the quotient complex with its chosen direction.
+    """An edge class of the quotient complex: ``slots``, the flat indices
+    6i+k of its members, ascending, and ``members``, their (tet, a, b) with
+    a < b.  Its direction and ends are in the flat tables
+    (``edge_direction_at``, :func:`edge_ends`)."""
 
-    The direction runs from the smaller to the larger vertex label in the
-    least local representative, where ``tri.edge_direction_at`` is +1.
-    ``tail_vertex``/``head_vertex`` are vertex-class indices; ``slots`` are
-    the flat indices 6i+k of the members, ascending.
-    """
+    __slots__ = ("slots",)
 
-    __slots__ = ("index", "rep", "slots", "tail_local", "head_local",
-                 "tail_vertex", "head_vertex")
-
-    def __init__(self, tri, index, slots):
-        x = slots[0]
-        tail, head = edge_ends(x, tri.edge_direction_at[x])
-        self.index = index
-        self.rep = _edge_name(x)
+    def __init__(self, slots):
         self.slots = slots
-        self.tail_local, self.head_local = tail & 3, head & 3
-        self.tail_vertex = tri.vertex_class_at[tail]
-        self.head_vertex = tri.vertex_class_at[head]
 
     @property
     def members(self):
-        return tuple(map(_edge_name, self.slots))
-
-    @property
-    def valence(self):
-        return len(self.slots)
-
-    def __repr__(self):
-        t, _, _ = self.rep
-        return "EdgeClass(%d, tet %d %d->%d)" % (
-            self.index, t, self.tail_local, self.head_local)
+        return tuple((x // 6,) + LOCAL_EDGES[x % 6] for x in self.slots)
 
 
 def _members(class_at):
@@ -208,9 +182,9 @@ class Triangulation:
     their links and ``forest``, and the discs of each arc (``arc_discs``).
     What only a report or a test reads is built on first use: the ends of
     an arc (``arc_end_ids(arcs)``, ``arc_ends(arc)``), each link's ``arcs``,
-    ``arc_cells`` and 0-cells ``cells`` (with the Euler characteristic they
-    give), the slot tuples of ``vertex_classes`` and the ``EdgeClass``
-    objects of ``edge_classes``.  The gluings stay in the flat per-slot
+    ``arc_cells`` and 0-cell count (with the Euler characteristic it gives),
+    the slot tuples of ``vertex_classes`` and the ``EdgeClass`` objects of
+    ``edge_classes``, which hold only their members.  The gluings stay in the flat per-slot
     ``_partner`` and ``_perm``.
     """
 
@@ -320,8 +294,7 @@ class Triangulation:
         classes = self._cache.get("edges")
         if classes is None:
             classes = self._cache["edges"] = tuple(
-                EdgeClass(self, e, slots)
-                for e, slots in enumerate(_members(self.edge_class_at)))
+                map(EdgeClass, _members(self.edge_class_at)))
         return classes
 
     def _compute_edge_classes(self):

@@ -17,14 +17,15 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
+from quadlift.chains import apply_boundary
 from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
                                 solve_with_smith)
 from quadlift.links import VertexLink, build_all_links
 from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL,
                              AdmissibilityReport, LiftResult, boundary_test,
-                             check_admissible, quad_boundary, quad_chain)
+                             check_admissible, quad_chain)
 from quadlift.triangulation import (LOCAL_EDGES, PERMS, TriangulationError,
-                                    perm_sign, quad_disc)
+                                    edge_ends, perm_sign, quad_disc)
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
@@ -773,14 +774,12 @@ def union_find_edge_classes(tri):
     return edge_class, direction, members
 
 
-def check_admissible_loop(q, tet_count=None):
+def check_admissible_loop(q, tet_count):
     """``solver.check_admissible`` as one test per entry, the way the
     package checked admissibility before it tested each tetrahedron once."""
-    if tet_count is not None and len(q) != 3 * tet_count:
+    if len(q) != 3 * tet_count:
         raise ValueError("expected %d quad coordinates, got %d"
                          % (3 * tet_count, len(q)))
-    if len(q) % 3:
-        raise ValueError("quad vector length %d is not a multiple of 3" % len(q))
     negatives = []
     conflicts = []
     for tet in range(len(q) // 3):
@@ -794,6 +793,31 @@ def check_admissible_loop(q, tet_count=None):
         if len(present) > 1:
             conflicts.append((tet, tuple(present)))
     return AdmissibilityReport(tuple(negatives), tuple(conflicts))
+
+
+def edge_class_facts(tri):
+    """Per edge class, read from the flat tables: its index, the (tet, a, b)
+    of its first member ``rep``, its ``members``, the local vertices and
+    vertex classes at its tail and head, and its ``valence``."""
+    facts = []
+    for e, x in enumerate(tri._edge_first):
+        tail, head = edge_ends(x, tri.edge_direction_at[x])
+        members = tri.edge_classes[e].members
+        facts.append(SimpleNamespace(
+            index=e, rep=(x // 6,) + LOCAL_EDGES[x % 6], members=members,
+            tail_local=tail & 3, head_local=head & 3,
+            tail_vertex=tri.vertex_class_at[tail],
+            head_vertex=tri.vertex_class_at[head], valence=len(members)))
+    return facts
+
+
+def link_cells(tri, vertex):
+    """The 0-cells (edge class, end) of the link of ``vertex``, sorted: the
+    tail of a class lies on the link of its tail vertex, and its head on
+    that of its head vertex."""
+    return tuple((e.index, end) for e in edge_class_facts(tri)
+                 for end, v in ((0, e.tail_vertex), (1, e.head_vertex))
+                 if v == vertex)
 
 
 def build_link(tri, vertex):
@@ -819,12 +843,7 @@ def build_link(tri, vertex):
                                   triangle_disc(j, sigma[corner]))
     arcs = tuple(sorted(arcs))
 
-    cells = tuple(sorted(
-        (e.index, end)
-        for e in tri.edge_classes
-        for end, v in ((0, e.tail_vertex), (1, e.head_vertex))
-        if v == vertex))
-
+    cells = link_cells(tri, vertex)
     chi = len(cells) - len(arcs) + len(triangles)
     if chi % 2 != 0:
         raise TriangulationError(
@@ -850,7 +869,7 @@ def build_link(tri, vertex):
 
     stub = SimpleNamespace(triangles=triangles, arcs=arcs)
     steps, closing = dual_tree(stub, len(triangles) - 1, tri.arc_discs)
-    link = VertexLink(vertex, triangles, lambda: {vertex: cells},
+    link = VertexLink(vertex, triangles, lambda: {vertex: len(cells)},
                       (steps, closing), (0, len(steps), 0, len(closing)),
                       arc_cells.__getitem__)
     # the link reads its arcs off its tree, which holds each arc once
@@ -1007,7 +1026,7 @@ def check_witness_independence(tri, q, result, rng, trials):
     rooted at every triangle of the link must all, after subtracting their
     minimum, equal the canonical lift on the link's triangles, and must all
     give ``min(w) - w[-1]`` as the vertex's shift."""
-    b = quad_boundary(tri, q)
+    b = apply_boundary(tri, quad_chain(tri, q))
     for v, link in enumerate(tri.links):
         canonical = [result.canonical_lift[d] for d in link.triangles]
         shift = result.per_vertex_shift[v]
@@ -1085,7 +1104,8 @@ def small_vectors(tri, rng, count):
 
 
 def cycle_test(tri, q, vertex):
-    return not cycle_imbalance(tri, quad_boundary(tri, q), vertex)
+    return not cycle_imbalance(tri, apply_boundary(tri, quad_chain(tri, q)),
+                               vertex)
 
 
 def edge_slot(tet, a, b):
@@ -1181,8 +1201,6 @@ def flip_edge(tri, e):
     its links and arc table rebuilt.  No answer of the package may depend
     on edge directions, so every answer must be the same on the copy."""
     flipped = copy.copy(tri)
-    # the EdgeClass objects, which read the directions, are cached there
-    flipped._cache = {}
     flipped.edge_direction_at = tuple(
         -d if c == e else d
         for c, d in zip(tri.edge_class_at, tri.edge_direction_at))

@@ -14,7 +14,7 @@ from quadlift import (NORMAL, SPUN_NORMAL, lift, parse_triangulation,
 from quadlift.chains import apply_boundary
 from quadlift.cli import run as cli_run
 from quadlift.intlinalg import IntMatrix, smith_normal_form
-from quadlift.solver import quad_boundary, quad_part
+from quadlift.solver import quad_chain, quad_part
 from quadlift.triangulation import FACE_CORNERS, perm_sign
 
 from conftest import DATA, load_doc
@@ -167,7 +167,8 @@ def test_criterion_08_spun_detection(fig8):
         q = [x for row in combo for x in row]
         if not all(cycle_test(fig8, q, v) for v in range(len(fig8.links))):
             continue
-        if not all(link_potential(fig8, quad_boundary(fig8, q), v)[0]
+        if not all(link_potential(
+                fig8, apply_boundary(fig8, quad_chain(fig8, q)), v)[0]
                    for v in range(len(fig8.links))):
             spun.append(q)
     assert spun, "no spun-normal vector with entries <= 2 found"

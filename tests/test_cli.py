@@ -72,7 +72,7 @@ def test_classify_json_builds_no_vertex_class_and_no_link_cells(
 
     # both vertex_classes and edge_classes are built by _members
     monkeypatch.setattr(quadlift.triangulation, "_members", refuse)
-    monkeypatch.setattr(quadlift.links, "link_cells", refuse)
+    monkeypatch.setattr(quadlift.links, "link_cell_counts", refuse)
     if quads is None:
         quads_path = path("fig8_spun_quads.json")
     else:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary, boundary_matrix
-from quadlift.solver import quad_boundary, quad_chain, quad_part, verify_normal
+from quadlift.solver import quad_chain, quad_part, verify_normal
 from conftest import FAMILY_DOCS, load_tri
 from oracles import (boundary_of, cycle_imbalance, disc_boundary, flip_edge,
                      link_boundary_matrix, link_potential, random_isomorphism,
@@ -40,7 +40,7 @@ def assert_arc_table_matches_per_disc_oracle(tri):
         q = [0] * tri.quad_count
         q[index] = 1
         boundary = boundary_of(tri, quad_chain(tri, q))
-        b = quad_boundary(tri, q)
+        b = apply_boundary(tri, quad_chain(tri, q))
         for link in tri.links:
             assert [b[arc] for arc in link.arcs] == [boundary[arc]
                                                      for arc in link.arcs]
@@ -65,8 +65,11 @@ def test_quad_boundary_is_the_boundary_of_the_quad_chain(doc, moved):
     rng = random.Random(tri.tet_count)
     queries = gen.edge_link_vectors(tri) + [
         [rng.randint(-3, 3) for _ in range(tri.quad_count)] for _ in range(8)]
+    # lift reads the quad boundary off the quad half of each row
     for q in queries:
-        assert quad_boundary(tri, q) == apply_boundary(tri, quad_chain(tri, q))
+        chain = quad_chain(tri, q)
+        assert [s * (chain[a] - chain[b]) for s, _, _, a, b in tri.arc_discs
+                ] == apply_boundary(tri, chain)
 
 
 def generated_queries(tri, rng, cover=None):
@@ -180,7 +183,7 @@ def test_boundary_test_agrees_with_smith_on_non_cycles_too(name):
     tri = load_tri(name + ".json")
     matrices = [link_boundary_matrix(tri, link) for link in tri.links]
     for q in small_admissible_vectors(tri):
-        b = quad_boundary(tri, q)
+        b = apply_boundary(tri, quad_chain(tri, q))
         for v, a in enumerate(matrices):
             rhs = [-b[arc] for arc in tri.links[v].arcs]
             ok, w, reason = link_potential(tri, b, v)
@@ -212,7 +215,7 @@ def test_every_root_gives_the_same_verdict_on_spun_data():
     link = tri.links[0]
     for m in (1, 2, 3):
         for root in range(len(link.triangles)):
-            b = quad_boundary(tri, gen.fig8_spun(3, m))
+            b = apply_boundary(tri, quad_chain(tri, gen.fig8_spun(3, m)))
             assert link_potential(tri, b, 0, root=root) == (
                 False, None, "no rational solution")
 
@@ -309,7 +312,7 @@ def test_cycle_failures_are_the_arc_by_arc_cycle_test(name, doc):
     tri = parse_triangulation(doc)
     failing = 0
     for q in family_queries(tri, cover_of(name), tri.tet_count):
-        b = quad_boundary(tri, q)
+        b = apply_boundary(tri, quad_chain(tri, q))
         expected = tuple((v, tuple(imbalance.items()))
                          for v in range(len(tri.links))
                          for imbalance in [cycle_imbalance(tri, b, v)]
@@ -353,6 +356,28 @@ def test_the_link_boundary_of_every_potential_is_a_cycle(drawn, data):
             sums[head] = sums.get(head, 0) + coeff
             sums[tail] = sums.get(tail, 0) - coeff
         assert not any(sums.values())
+
+
+GENERATED_DOCS = [(name, doc) for name, doc in FAMILY_DOCS
+                  if name.startswith(("stacked-", "cover-", "suspended-"))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from(GENERATED_DOCS), st.integers(0, 99))
+def test_a_failing_zero_cell_fails_with_the_same_sum_at_the_other_end(
+        named, seed):
+    # the sum at 0-cell (e, end) is edge e's Q-matching equation read at
+    # one end, so the cell (e, 1 - end), on the link at the other end of
+    # edge e, fails with the same sum
+    name, doc = named
+    tri = parse_triangulation(doc)
+    for q in family_queries(tri, cover_of(name), seed):
+        result = lift(tri, q)
+        sums = {cell: s for _, cells in result.cycle_failures
+                for cell, s in cells}
+        assert bool(sums) == (result.classification == NOT_NORMAL)
+        for (e, end), s in sums.items():
+            assert sums.get((e, 1 - end)) == s, (e, end)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

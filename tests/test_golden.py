@@ -23,13 +23,15 @@ import re
 import sys
 from pathlib import Path
 
+import quadlift
 from quadlift import Triangulation, cli, parse_triangulation
 from quadlift.cli import run
 from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
 
 import generators as gen
-from oracles import (arc_of, directed_face_edge, end_cell, face_pairs,
-                     flip_edge, gluing, serialize, suspended_surface)
+from oracles import (arc_of, directed_face_edge, edge_class_facts, end_cell,
+                     face_pairs, flip_edge, gluing, link_cells, serialize,
+                     suspended_surface)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_cli.json"
@@ -150,6 +152,21 @@ def test_the_json_writer_prints_json_dumps_on_every_golden_payload(
                                             default=row_form) + "\n"
 
 
+def test_validate_prints_its_golden_text_without_edge_class_objects(
+        tmp_path, monkeypatch):
+    # the text output reads each class's ends from the flat tables
+    def refuse(*args):
+        raise AssertionError("EdgeClass built")
+
+    monkeypatch.setattr(quadlift.triangulation, "EdgeClass", refuse)
+    expected = json.loads(GOLDEN.read_text())
+    for name, doc in _cases():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(doc))
+        assert (_invoke(["validate", "--tri", str(path)], tmp_path)
+                == expected[name + " validate"]), name
+
+
 def row_form(rows):
     """The list of rows that a ``cli._Rows`` prints as."""
     assert type(rows) is cli._Rows
@@ -195,7 +212,9 @@ def quad_vector_rows(arc_discs):
 
 
 def parse_state(tri):
-    """Every field and accessor result that construction decides, as JSON."""
+    """Every field and accessor result that construction decides, as JSON.
+    The ends of the edge classes and the 0-cells of the links, which the
+    package only counts, are read from its flat tables."""
     t = tri.tet_count
     slots = [(i, f) for i in range(t) for f in range(4)]
     directions = []
@@ -210,7 +229,7 @@ def parse_state(tri):
                      for c, slots in enumerate(tri.vertex_classes)],
         "edges": [(e.index, e.rep, e.members, e.tail_local, e.head_local,
                    e.tail_vertex, e.head_vertex, e.valence)
-                  for e in tri.edge_classes],
+                  for e in edge_class_facts(tri)],
         "orientation": tri.tet_orientation,
         "directions": directions,
         "gluings": [gluing(tri, i, f) for i, f in slots],
@@ -220,7 +239,8 @@ def parse_state(tri):
                      for a in range(4) for b in range(4) if a != b],
         "serialize": serialize(tri),
         "arc_discs": quad_vector_rows(tri.arc_discs),
-        "links": [(link.vertex, link.triangles, link.arcs, link.cells,
+        "links": [(link.vertex, link.triangles, link.arcs,
+                   link_cells(tri, link.vertex),
                    sorted(link.arc_cells.items()), link.euler_characteristic,
                    link.genus, link.is_sphere, local_tree(link))
                   for link in tri.links],

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -8,17 +9,18 @@ from quadlift import NOT_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary
 from quadlift.intlinalg import IntMatrix, smith_normal_form
 from quadlift.links import build_all_links
-from quadlift.solver import quad_boundary
+from quadlift.solver import quad_chain
 from quadlift.triangulation import FACE_CORNERS
 from oracles import (arc_of, build_link, directed_face_edge, disc_boundary,
                      dual_tree, end_cell, face_pairs, flip_edge,
                      fundamental_class, kernel_basis, link_boundary_matrix,
+                     link_cells,
                      link_boundary_restriction_check, link_potential,
                      projection, small_vectors, suspended_surface)
 import generators as gen
 from conftest import FAMILY_DOCS
 
-LINK_FIELDS = ("vertex", "triangles", "arcs", "cells", "arc_cells",
+LINK_FIELDS = ("vertex", "triangles", "arcs", "arc_cells",
                "euler_characteristic", "genus", "is_sphere", "tree")
 
 
@@ -46,7 +48,7 @@ def test_build_link_matches_stored(double_tet):
         stored = double_tet.links[v]
         assert link.triangles == stored.triangles
         assert link.arcs == stored.arcs
-        assert link.cells == stored.cells
+        assert link.euler_characteristic == stored.euler_characteristic
 
 
 def assert_links_match_per_vertex_builder(tri):
@@ -103,8 +105,8 @@ def link_arc_cells(tri):
 def test_arc_ends_match_the_oracle(doc):
     """Each arc's ends, computed from its row on first use, are the oracle's,
     whether the links' ``arc_cells`` are read before them or after, and on
-    copies with the first or the last edge class flipped.  Every end is the
-    0-cell tuple of its link's ``cells``, not a copy of it."""
+    copies with the first or the last edge class flipped.  Equal ends are
+    one tuple, shared by every arc."""
     for cells_first in (True, False):
         tri = parse_triangulation(doc)   # each round reads new parses
         for t in (tri, flip_edge(tri, 0),
@@ -116,10 +118,10 @@ def test_arc_ends_match_the_oracle(doc):
             if not cells_first:
                 cells = link_arc_cells(t)
             assert cells == dict(enumerate(expect))
+            shared = {}
             for link in t.links:
-                shared = set(map(id, link.cells))
-                assert all(id(tail) in shared and id(head) in shared
-                           for tail, head in link.arc_cells.values())
+                for cell in itertools.chain(*link.arc_cells.values()):
+                    assert shared.setdefault(cell, cell) is cell
 
 
 @pytest.mark.parametrize("name", ["stacked-13", "cover-5", "suspended-2"])
@@ -138,14 +140,14 @@ def test_a_parse_is_freed_by_reference_counting(name):
         assert sorted(link_ends) == sorted(
             arc for link in tri.links for arc in link.arcs)
         ends = [tri.arc_ends(arc) for arc in range(tri.arc_count)]
-        cells = [(link.cells, link.euler_characteristic) for link in tri.links]
+        chis = [link.euler_characteristic for link in tri.links]
         classes = tri.vertex_classes
         ref = weakref.ref(tri)
         del tri
         assert ref() is None
         # what was read outlives the triangulation without keeping it alive
         assert len(ends) == len(link_ends)
-        assert len(cells) == len(classes)
+        assert len(chis) == len(classes)
     finally:
         if enabled:
             gc.enable()
@@ -195,7 +197,7 @@ def assert_tree_invariants(tri):
             assert s == coeff
             assert (coeff == 0) == (d == nb)
         for q in queries:
-            b = quad_boundary(tri, q)
+            b = apply_boundary(tri, quad_chain(tri, q))
             assert link_potential(tri, b, v) == link_potential(tri, b, v,
                                                                root=last)
 
@@ -305,8 +307,9 @@ def test_link_homology_ranks(fig8, double_tet):
     # torus link: H1 rank 2; sphere link: H1 rank 0
     for tri, expected in ((fig8, 2), (double_tet, 0)):
         link = tri.links[0]
-        cell_pos = {c: i for i, c in enumerate(link.cells)}
-        d1 = [[0] * len(link.arcs) for _ in link.cells]
+        cells = link_cells(tri, link.vertex)
+        cell_pos = {c: i for i, c in enumerate(cells)}
+        d1 = [[0] * len(link.arcs) for _ in cells]
         for col, arc in enumerate(link.arcs):
             tail, head = link.arc_cells[arc]
             d1[cell_pos[head]][col] += 1

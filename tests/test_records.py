@@ -93,9 +93,10 @@ def test_each_lift_result_gets_its_own_default_shift_dict():
 
 @pytest.mark.parametrize("record, text", RECORDS)
 def test_pickle_and_copies_round_trip(record, text):
-    # an IntMatrix, which has slots, pickles from protocol 2 on
+    # every protocol, 0 and 1 too: an IntMatrix, which has slots, pickles
+    # through its own __reduce__
     clones = [pickle.loads(pickle.dumps(record, protocol))
-              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for clone in clones + [copy.copy(record), copy.deepcopy(record)]:
         assert type(clone) is type(record)
         assert repr(clone) == text

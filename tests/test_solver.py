@@ -6,7 +6,7 @@ import pytest
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, verify_normal
 from quadlift import solver
 from quadlift.chains import apply_boundary
-from quadlift.solver import (check_admissible, load_normal_coords, load_quads, quad_boundary,
+from quadlift.solver import (check_admissible, load_normal_coords, load_quads,
                              quad_chain, quad_part)
 from conftest import load_doc
 from oracles import (arc_of, arc_sign, check_admissible_loop,
@@ -21,17 +21,17 @@ SPUN_Q = [0, 0, 1, 0, 0, 2]  # frozen spun-normal fixture on fig8
 # admissibility
 
 def test_zero_vector_admissible():
-    assert check_admissible([0] * 6).ok
+    assert check_admissible([0] * 6, 2).ok
 
 
 def test_two_quad_types_in_one_tet_inadmissible():
-    report = check_admissible([1, 1, 0, 0, 0, 0])
+    report = check_admissible([1, 1, 0, 0, 0, 0], 2)
     assert not report.ok
     assert report.conflicts == ((0, (1, 2)),)
 
 
 def test_negative_entry_inadmissible():
-    report = check_admissible([0, 0, 0, 0, -1, 0])
+    report = check_admissible([0, 0, 0, 0, -1, 0], 2)
     assert not report.ok
     assert report.negatives == ((1, 2, -1),)
 
@@ -61,7 +61,7 @@ def test_admissibility_matches_the_per_entry_loop():
                 q.insert(rng.randint(0, len(q)), rng.randint(-1, 1))
             elif q:
                 del q[rng.randrange(len(q))]
-        for tet_count in (None, tets, len(q) // 3):
+        for tet_count in (tets, len(q) // 3):
             assert (outcome(check_admissible, q, tet_count)
                     == outcome(check_admissible_loop, q, tet_count)), q
 
@@ -78,7 +78,7 @@ def test_bad_length_rejected(double_tet):
 
 def test_partial_boundary_zero(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
-        b = quad_boundary(tri, [0] * tri.quad_count)
+        b = apply_boundary(tri, quad_chain(tri, [0] * tri.quad_count))
         for link in tri.links:
             assert [b[arc] for arc in link.arcs] == [0] * len(link.arcs)
 
@@ -88,7 +88,7 @@ def test_partial_boundary_direct_recomputation(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
         for _ in range(30):
             q = [rng.randint(0, 3) for _ in range(tri.quad_count)]
-            b = quad_boundary(tri, q)
+            b = apply_boundary(tri, quad_chain(tri, q))
             for v, link in enumerate(tri.links):
                 expect = [0] * tri.arc_count
                 for tet in range(tri.tet_count):
@@ -115,7 +115,7 @@ def test_partial_boundaries_sum_to_boundary(acceptance_fixtures):
     for tri in acceptance_fixtures.values():
         for _ in range(100):
             q = [rng.randint(0, 3) for _ in range(tri.quad_count)]
-            b = quad_boundary(tri, q)
+            b = apply_boundary(tri, quad_chain(tri, q))
             total = [0] * tri.arc_count
             for link in tri.links:
                 for arc in link.arcs:
@@ -123,9 +123,9 @@ def test_partial_boundaries_sum_to_boundary(acceptance_fixtures):
             assert total == apply_boundary(tri, quad_chain(tri, q))
 
 
-def test_quad_boundary_rejects_bad_length(double_tet):
+def test_quad_chain_rejects_bad_length(double_tet):
     with pytest.raises(ValueError):
-        quad_boundary(double_tet, [0, 0, 0])
+        quad_chain(double_tet, [0, 0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_sphere_links_cycle_implies_boundary(sphere_fixtures):
             q = [x for row in combo for x in row]
             passes = all(cycle_test(tri, q, v) for v in range(len(tri.links)))
             if passes:
-                b = quad_boundary(tri, q)
+                b = apply_boundary(tri, quad_chain(tri, q))
                 for v in range(len(tri.links)):
                     ok, witness, _ = link_potential(tri, b, v)
                     assert ok
@@ -179,7 +179,7 @@ def test_sphere_links_cycle_implies_boundary(sphere_fixtures):
 
 
 def test_boundary_test_zero_witness(double_tet):
-    b = quad_boundary(double_tet, [0] * 6)
+    b = apply_boundary(double_tet, quad_chain(double_tet, [0] * 6))
     for v in range(4):
         ok, witness, reason = link_potential(double_tet, b, v)
         assert ok and reason is None
@@ -188,7 +188,8 @@ def test_boundary_test_zero_witness(double_tet):
 
 def test_fig8_spun_fixture(fig8):
     assert all(cycle_test(fig8, SPUN_Q, v) for v in range(1))
-    ok, witness, reason = link_potential(fig8, quad_boundary(fig8, SPUN_Q), 0)
+    ok, witness, reason = link_potential(
+        fig8, apply_boundary(fig8, quad_chain(fig8, SPUN_Q)), 0)
     assert not ok and witness is None
     assert reason == "no rational solution"
     result = lift(fig8, SPUN_Q)

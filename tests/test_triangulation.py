@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from quadlift import TriangulationError, parse_triangulation
 from quadlift.triangulation import FACE_CORNERS, LOCAL_EDGES
 from conftest import FAMILY_DOCS, load_doc
-from oracles import (brute_force_class_counts, edge_class, edge_direction,
-                     face_pairs, flip_edge, gluing, random_isomorphism,
+from oracles import (brute_force_class_counts, edge_class, edge_class_facts,
+                     edge_direction, face_pairs, flip_edge, gluing, random_isomorphism,
                      relabel_doc, serialize, suspended_surface, to_text,
                      union_find_edge_classes)
 
@@ -122,7 +122,7 @@ def test_parity_flip_makes_non_orientable():
 
 def test_edge_orientation_convention(all_fixtures):
     for tri in all_fixtures.values():
-        for e in tri.edge_classes:
+        for e in edge_class_facts(tri):
             t, a, b = e.rep
             assert e.rep == min(e.members)
             assert (e.tail_local, e.head_local) == (a, b)
@@ -158,42 +158,39 @@ def test_serialization_matches_source():
 
 def test_flip_edge_reverses_one_class(fig8):
     flipped = flip_edge(fig8, 0)
-    e0, f0 = fig8.edge_classes[0], flipped.edge_classes[0]
+    (e0, e1), (f0, f1) = edge_class_facts(fig8), edge_class_facts(flipped)
     assert (f0.tail_local, f0.head_local) == (e0.head_local, e0.tail_local)
     for member in e0.members:
         t, a, b = member
         assert (edge_direction(flipped, t, a, b)
                 == -edge_direction(fig8, t, a, b))
-    e1, f1 = fig8.edge_classes[1], flipped.edge_classes[1]
     assert (f1.tail_local, f1.head_local) == (e1.tail_local, e1.head_local)
     # flipping twice restores the canonical direction
     again = flip_edge(flipped, 0)
     assert serialize(again) == serialize(fig8)
     assert again.edge_direction_at == fig8.edge_direction_at
-    assert ([(e.tail_local, e.head_local, e.tail_vertex, e.head_vertex)
-             for e in again.edge_classes]
-            == [(e.tail_local, e.head_local, e.tail_vertex, e.head_vertex)
-                for e in fig8.edge_classes])
+    assert edge_class_facts(again) == edge_class_facts(fig8)
     assert again.arc_discs == fig8.arc_discs
 
 
 def assert_edge_classes_are_the_union_find(tri, flipped=None):
-    """``edge_class_at``, ``edge_direction_at`` and the EdgeClass objects
-    are those of the union-find of the oracles, with edge class ``flipped``
-    reversed."""
+    """``edge_class_at``, ``edge_direction_at``, the slots of the EdgeClass
+    objects and the ends the flat tables give are those of the union-find of
+    the oracles, with edge class ``flipped`` reversed."""
     classes, directions, members = union_find_edge_classes(tri)
     directions = tuple(-d if e == flipped else d
                        for e, d in zip(classes, directions))
     assert tri.edge_class_at == classes
     assert tri.edge_direction_at == directions
     assert len(tri.edge_classes) == len(members)
-    for e, (edge, slots) in enumerate(zip(tri.edge_classes, members)):
+    for e, (edge, facts, slots) in enumerate(
+            zip(tri.edge_classes, edge_class_facts(tri), members)):
         i, k = divmod(slots[0], 6)
         a, b = LOCAL_EDGES[k][::directions[slots[0]]]
-        assert (edge.index, edge.rep, edge.slots) == (
-            e, (i,) + LOCAL_EDGES[k], tuple(slots))
-        assert (edge.tail_local, edge.head_local) == (a, b)
-        assert (edge.tail_vertex, edge.head_vertex) == (
+        assert edge.slots == tuple(slots)
+        assert (facts.index, facts.rep) == (e, (i,) + LOCAL_EDGES[k])
+        assert (facts.tail_local, facts.head_local) == (a, b)
+        assert (facts.tail_vertex, facts.head_vertex) == (
             tri.vertex_class_at[4 * i + a], tri.vertex_class_at[4 * i + b])
 
 
