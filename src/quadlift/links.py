@@ -5,8 +5,9 @@ triangle discs, and its components are the vertex classes.  The link of a
 class v is the closed surface its triangles sweep out; its 1-cells are the
 arcs linking v and its 0-cells sit on the ends of the edge classes incident
 to v.  The link pass grows one breadth-first forest over the graph, which
-numbers the classes and is what ``solver.boundary_test`` walks, all links
-in one pass.  Every link is connected by definition and orientable (see
+numbers the classes and records the link of each arc, all links in one
+pass; ``solver.boundary_test`` walks the trees of the links a query
+reaches.  Every link is connected by definition and orientable (see
 :func:`build_all_links`), so the Euler characteristic fixes its type.
 """
 
@@ -210,6 +211,10 @@ def build_all_links(tri):
     the graph and goes first into the closing arcs.  ``tri.forest`` is
     (steps, closing): the steps of every tree in the order they grow, and
     the closing arcs link after link; each link's tree is a slice of each.
+    ``tri.arc_link[arc]`` is the link of each arc, the vertex class of its
+    triangles: the walk marks each arc it meets with its tree's number,
+    which becomes the link's number once the trees are sorted, and an arc
+    whose two sides lie on one disc takes the vertex class of that disc.
     The arcs of the discs sit in two flat lists: a list per disc (7t lists)
     made the garbage collector run a third more often in a parse-and-lift
     loop.
@@ -243,21 +248,22 @@ def build_all_links(tri):
             else:
                 loops.append((arc, d, d, 0))
     tri.arc_discs = arc_discs = tuple(arc_discs)
-    used = [False] * len(arc_discs)
+    used = [0] * len(arc_discs)    # the walking tree's number plus 1
     seen = [False] * len(fill)
     steps = []     # the steps of every tree, tree after tree
-    trees = []     # (triangles, start and end of its steps, its closing)
+    trees = []     # (triangles, start and end of its steps, its closing,
+                   # its number plus 1)
     for root in range(len(fill) - 1, -1, -1):
         if root % 7 > 3 or seen[root]:
             continue
         seen[root] = True
-        start, closing = len(steps), []
+        start, closing, tree = len(steps), [], len(trees) + 1
         queue = [root]
         for d in queue:    # the queue grows while it is read
             for arc in sides[3 * d:3 * d + fill[d]]:
                 if used[arc]:
                     continue
-                used[arc] = True
+                used[arc] = tree
                 s, a, nb, _, _ = arc_discs[arc]
                 if a != d:
                     nb, s = a, -s
@@ -268,17 +274,24 @@ def build_all_links(tri):
                     steps.append((arc, d, nb, s))
                     queue.append(nb)
         queue.sort()
-        trees.append((queue, start, len(steps), closing))
+        trees.append((queue, start, len(steps), closing, tree))
     trees.sort()   # by first triangle, which no two trees share
     # disc 7i+v is the triangle of slot 4i+v
     vertex_class = [0] * (4 * tri.tet_count)
-    for c, (triangles, _, _, _) in enumerate(trees):
+    # a tree's number plus 1 -> its link; 0 marks the arcs that no tree
+    # meets, the ones whose two sides lie on one disc, set from ``loops``
+    remap = [0] * (len(trees) + 1)
+    for c, (triangles, _, _, _, tree) in enumerate(trees):
+        remap[tree] = c
         for d in triangles:
             vertex_class[d - 3 * (d // 7)] = c
     tri.vertex_class_at = vertex_class = tuple(vertex_class)
+    arc_link = list(map(remap.__getitem__, used))
     closings = [[] for _ in trees]
     for entry in loops:   # disc 7i+v is the triangle of slot 4i+v
-        closings[vertex_class[entry[1] - 3 * (entry[1] // 7)]].append(entry)
+        c = arc_link[entry[0]] = vertex_class[entry[1] - 3 * (entry[1] // 7)]
+        closings[c].append(entry)
+    tri.arc_link = tuple(arc_link)
     closing = []
     tri.forest = forest = (steps, closing)
     tri.arc_end_ids = end_ids = partial(arc_end_ids, arc_discs, edge_class,
@@ -287,7 +300,7 @@ def build_all_links(tri):
     cell_counts = cache(partial(link_cell_counts, first, vertex_class,
                                 len(trees)))
     links = []
-    for c, (triangles, start, end, tree_closing) in enumerate(trees):
+    for c, (triangles, start, end, tree_closing, _) in enumerate(trees):
         opening = len(closing)
         closing += closings[c] + tree_closing
         links.append(VertexLink(c, tuple(triangles), cell_counts, forest,

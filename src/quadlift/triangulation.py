@@ -179,7 +179,8 @@ class Triangulation:
     computes the orientation signs, the edge classes with their directions
     (``edge_class_at``, ``edge_direction_at``) and, in
     ``links.build_all_links``, the vertex classes (``vertex_class_at``),
-    their links and ``forest``, and the discs of each arc (``arc_discs``).
+    their links and ``forest``, the discs of each arc (``arc_discs``) and
+    the link of each arc (``arc_link``).
     What only a report or a test reads is built on first use: the ends of
     an arc (``arc_end_ids(arcs)``, ``arc_ends(arc)``), each link's ``arcs``,
     ``arc_cells`` and 0-cell count (with the Euler characteristic it gives),

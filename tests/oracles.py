@@ -6,8 +6,9 @@ the package cannot hide in its own oracle.  The later ones are reference
 implementations the package no longer needs: integer solving and kernels,
 the per-disc boundary and the matching equations, and the per-entry
 admissibility loop, per-vertex link builder, per-link dual tree at any root,
-arc-by-arc cycle test and Smith-form lift that the package replaced.  The
-last section holds small helpers that only the tests use.
+whole-forest walk and lift, arc-by-arc cycle test and Smith-form lift that
+the package replaced.  The last section holds small helpers that only the
+tests use.
 """
 
 import copy
@@ -24,6 +25,7 @@ from quadlift.links import VertexLink, build_all_links
 from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL,
                              AdmissibilityReport, LiftResult, boundary_test,
                              check_admissible, quad_chain)
+from quadlift.solver import cycle_imbalance as solver_cycle_imbalance
 from quadlift.triangulation import (LOCAL_EDGES, PERMS, TriangulationError,
                                     edge_ends, perm_sign, quad_disc)
 
@@ -916,17 +918,66 @@ def link_potential(tri, b, vertex, root=None):
     the form (ok, witness, reason): ``witness`` is the potential over
     ``link.triangles``, zero at position ``root``, or None with reason
     ``"no rational solution"``.  The default root is the last triangle,
-    whose tree is the link's tree of ``tri.forest``, and the whole forest
-    is walked; another root walks :func:`dual_tree` there, handed to
-    ``boundary_test`` as the only tree of its forest."""
+    whose tree is the link's tree of ``tri.forest``; another root walks
+    :func:`dual_tree` there, handed to ``boundary_test`` as the only tree
+    of its forest."""
     link = tri.links[vertex]
     w = [0] * tri.disc_count
     if root is not None:
-        tri = SimpleNamespace(forest=dual_tree(link, root, tri.arc_discs),
-                              vertex_class_at=tri.vertex_class_at)
-    if vertex in boundary_test(tri, b, w):
+        steps, closing = dual_tree(link, root, tri.arc_discs)
+        only = SimpleNamespace(span=(0, len(steps), 0, len(closing)))
+        tri = SimpleNamespace(forest=(steps, closing), links={vertex: only})
+    if vertex in boundary_test(tri, b, w, [vertex]):
         return False, None, "no rational solution"
     return True, [w[d] for d in link.triangles], None
+
+
+def forest_boundary_test(tri, b, w):
+    """The walk of the whole of ``tri.forest``, every link's tree whether
+    or not b reaches it, with each residual keyed by the vertex class of
+    its arc's triangle: the walk the package made before it walked only
+    the links that b reaches.  Returns what ``solver.boundary_test`` does
+    for every link."""
+    steps, closing = tri.forest
+    for arc, d, nb, s in steps:
+        w[nb] = w[d] + s * b[arc]
+    residual = {}
+    for arc, d, nb, s in closing:
+        r = s * (w[d] - w[nb]) + b[arc]
+        if r:   # disc 7i+v is the triangle of slot 4i+v
+            residual.setdefault(tri.vertex_class_at[d - 3 * (d // 7)],
+                                []).append((arc, r))
+    return residual
+
+
+def forest_lift(tri, q):
+    """``solver.lift`` as it was before it walked only the links that the
+    quad boundary reaches: the whole forest (:func:`forest_boundary_test`)
+    and the minimum of every link."""
+    report = check_admissible(q, tri.tet_count)
+    if not report.ok:
+        raise ValueError("inadmissible quadrilateral coordinates: %r" % (report,))
+    rows = tri.arc_discs
+    coords = quad_chain(tri, q)
+    b = [s * (coords[x] - coords[y]) for s, _, _, x, y in rows]
+    residual = forest_boundary_test(tri, b, coords)
+    cycle_failures = []
+    for vertex in range(len(tri.links)):
+        imbalance = solver_cycle_imbalance(tri, residual, vertex)
+        if imbalance:
+            cycle_failures.append((vertex, tuple(imbalance.items())))
+    if cycle_failures:
+        return LiftResult(NOT_NORMAL, cycle_failures=tuple(cycle_failures))
+    if residual:
+        return LiftResult(SPUN_NORMAL, boundary_failures=tuple(
+            (vertex, "no rational solution") for vertex in sorted(residual)))
+    shift = [min(link.gather(coords)) for link in tri.links]
+    for link, m in zip(tri.links, shift):
+        for d in link.triangles:
+            coords[d] -= m
+    assert [s * (coords[y] - coords[x]) for s, x, y, _, _ in rows] == b
+    assert min(coords) >= 0
+    return LiftResult(NORMAL, coords, dict(enumerate(shift)))
 
 
 def cycle_imbalance(tri, b, vertex):

@@ -26,9 +26,10 @@ from quadlift.chains import apply_boundary, boundary_matrix
 from quadlift.solver import quad_chain, quad_part, verify_normal
 from conftest import FAMILY_DOCS, load_tri
 from oracles import (boundary_of, cycle_imbalance, disc_boundary, flip_edge,
-                     link_boundary_matrix, link_potential, random_isomorphism,
-                     relabel_doc, small_vectors, smith_lift, solve_integer,
-                     suspended_surface, translate_disc, translate_disc_vector,
+                     forest_lift, link_boundary_matrix, link_potential,
+                     random_isomorphism, relabel_doc, small_vectors,
+                     smith_lift, solve_integer, suspended_surface,
+                     translate_disc, translate_disc_vector,
                      translate_quad_vector)
 import generators as gen
 
@@ -172,6 +173,42 @@ def small_admissible_vectors(tri):
 def test_every_small_admissible_vector_of_the_fixtures(name):
     tri = load_tri(name + ".json")
     seen = assert_same_as_smith(tri, small_admissible_vectors(tri))
+    assert {NORMAL, NOT_NORMAL} <= seen
+
+
+def assert_same_as_forest_lift(tri, queries):
+    """``lift``, which walks only the links that the quad boundary reaches,
+    gives the answer of the whole-forest walk field by field, with the keys
+    of ``per_vertex_shift`` in the same order."""
+    seen = set()
+    for q in queries:
+        result, expected = lift(tri, q), forest_lift(tri, q)
+        assert result == expected, q
+        assert list(result.per_vertex_shift) == list(expected.per_vertex_shift)
+        seen.add(result.classification)
+    return seen
+
+
+GENERATED_DOCS = [(name, doc) for name, doc in FAMILY_DOCS
+                  if name.startswith(("stacked-", "cover-", "suspended-"))]
+
+
+@pytest.mark.parametrize("name, doc", GENERATED_DOCS,
+                         ids=[name for name, _ in GENERATED_DOCS])
+def test_lift_is_the_whole_forest_lift_on_the_families(name, doc):
+    tri = parse_triangulation(doc)
+    queries = family_queries(tri, cover_of(name), tri.tet_count)
+    if name.startswith("suspended-"):
+        queries += [side_loop(tri, side) for side in range(tri.tet_count // 2)]
+    seen = assert_same_as_forest_lift(tri, queries)
+    assert {NORMAL, NOT_NORMAL} <= seen
+    assert (SPUN_NORMAL in seen) == (not name.startswith("stacked-"))
+
+
+@pytest.mark.parametrize("name", ["one_tet", "double_tet", "three_tet"])
+def test_lift_is_the_whole_forest_lift_on_every_small_vector(name):
+    tri = load_tri(name + ".json")
+    seen = assert_same_as_forest_lift(tri, small_admissible_vectors(tri))
     assert {NORMAL, NOT_NORMAL} <= seen
 
 

@@ -124,6 +124,24 @@ def test_arc_ends_match_the_oracle(doc):
                     assert shared.setdefault(cell, cell) is cell
 
 
+def test_arc_link_is_the_vertex_class_of_the_row_triangle():
+    """``tri.arc_link[arc]`` is the vertex class of the slot of its row's
+    triangle d, slot d - 3*(d//7), on every fixture and family, self-glued
+    arcs (one triangle on both sides) included, and its arcs of each link
+    are the link's ``arcs``."""
+    self_glued = 0
+    for _, doc in FAMILY_DOCS:
+        tri = parse_triangulation(doc)
+        assert len(tri.arc_link) == tri.arc_count
+        for arc, (_, d, nb, _, _) in enumerate(tri.arc_discs):
+            assert tri.arc_link[arc] == tri.vertex_class_at[d - 3 * (d // 7)]
+            self_glued += d == nb
+        for link in tri.links:
+            assert link.arcs == tuple(arc for arc, v in enumerate(tri.arc_link)
+                                      if v == link.vertex)
+    assert self_glued >= 4   # one_tet alone has 4
+
+
 @pytest.mark.parametrize("name", ["stacked-13", "cover-5", "suspended-2"])
 def test_a_parse_is_freed_by_reference_counting(name):
     """Nothing built at parse or on first use refers back to the

@@ -278,13 +278,14 @@ def test_lift_postconditions(sphere_fixtures):
 
 def test_lift_refuses_a_potential_that_fails_its_check(three_tet,
                                                       monkeypatch):
-    # the check at the end of lift is live: one tree step's potential off
-    # by one leaves dcoords != 0 on its arc, and lift raises
+    # the check at the end of lift is live: the potential of the first tree
+    # step of the first link walked, off by one, leaves dcoords != 0 on its
+    # arc, and lift raises
     walk = solver.boundary_test
 
-    def corrupted(tri, b, w):
-        residual = walk(tri, b, w)
-        steps, _ = tri.forest
+    def corrupted(tri, b, w, vertices):
+        residual = walk(tri, b, w, vertices)
+        steps, _ = tri.links[vertices[0]].tree
         w[steps[0][2]] += 1
         return residual
 
