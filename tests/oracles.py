@@ -24,7 +24,8 @@ from quadlift.intlinalg import (IntMatrix, SolveResult, smith_normal_form,
 from quadlift.links import VertexLink, build_all_links
 from quadlift.solver import (NORMAL, NOT_NORMAL, SPUN_NORMAL,
                              AdmissibilityReport, LiftResult, boundary_test,
-                             check_admissible, quad_chain)
+                             check_admissible, quad_chain, quad_part,
+                             verify_normal)
 from quadlift.solver import cycle_imbalance as solver_cycle_imbalance
 from quadlift.triangulation import (LOCAL_EDGES, PERMS, TriangulationError,
                                     edge_ends, perm_sign, quad_disc)
@@ -1105,6 +1106,23 @@ def check_witness_independence(tri, q, result, rng, trials):
 
 # ----------------------------------------------------------------------
 # helpers that only the tests use
+
+def assert_canonical_lift(tri, q, result):
+    """Check an answer of ``solver.lift`` for ``q``: a Normal answer is a
+    normal surface (``verify_normal``: no negative entry, admissible, every
+    matching equation), has quad part ``q`` and has a zero triangle on every
+    link, so it is the minimal normal lift; any other answer carries no
+    lift.  ``lift`` proves the first two by construction and checks nothing
+    at run time, so this is where they are checked."""
+    coords = result.canonical_lift
+    if result.classification != NORMAL:
+        assert coords is None, q
+        return
+    assert verify_normal(tri, coords).ok, q
+    assert quad_part(tri, coords) == list(q), q
+    assert [min(coords[d] for d in link.triangles)
+            for link in tri.links] == [0] * len(tri.links), q
+
 
 def identity(n):
     return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])

@@ -9,8 +9,7 @@ integer comparisons; there are no tolerances anywhere.
 import itertools
 import random
 
-from quadlift import (NORMAL, SPUN_NORMAL, lift, parse_triangulation,
-                      verify_normal)
+from quadlift import NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary
 from quadlift.cli import run as cli_run
 from quadlift.intlinalg import IntMatrix, smith_normal_form
@@ -18,8 +17,8 @@ from quadlift.solver import quad_chain, quad_part
 from quadlift.triangulation import FACE_CORNERS, perm_sign
 
 from conftest import DATA, load_doc
-from oracles import (apply_matching, arc_sign, box_solve,
-                     check_witness_independence, cycle_test,
+from oracles import (apply_matching, arc_sign, assert_canonical_lift,
+                     box_solve, check_witness_independence, cycle_test,
                      enumerate_matching_solutions, face_pairs, flip_edge,
                      fundamental_class, gluing,
                      link_boundary_restriction_check,
@@ -134,7 +133,7 @@ def test_criterion_06_round_trip(sphere_fixtures):
             if all(cycle_test(tri, q, v) for v in range(len(tri.links))):
                 result = lift(tri, q)
                 assert result.classification == NORMAL
-                assert verify_normal(tri, result.canonical_lift).ok
+                assert_canonical_lift(tri, q, result)
     passed(6, "round trip over %d enumerated solutions plus the bounded "
               "converse" % total)
 

@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, parse_triangulation
 from quadlift.chains import apply_boundary, boundary_matrix
-from quadlift.solver import quad_chain, quad_part, verify_normal
+from quadlift.solver import quad_chain
 from conftest import FAMILY_DOCS, load_tri
-from oracles import (boundary_of, cycle_imbalance, disc_boundary, flip_edge,
-                     forest_lift, link_boundary_matrix, link_potential,
+from oracles import (assert_canonical_lift, boundary_of, cycle_imbalance,
+                     disc_boundary, flip_edge, forest_lift,
+                     link_boundary_matrix, link_potential,
                      random_isomorphism, relabel_doc, small_vectors,
                      smith_lift, solve_integer, suspended_surface,
                      translate_disc, translate_disc_vector,
@@ -97,6 +98,7 @@ def assert_same_as_smith(tri, queries):
     for q in queries:
         result = lift(tri, q)
         assert result == smith_lift(tri, q, decompositions), q
+        assert_canonical_lift(tri, q, result)
         seen.add(result.classification)
     return seen
 
@@ -184,6 +186,7 @@ def assert_same_as_forest_lift(tri, queries):
     for q in queries:
         result, expected = lift(tri, q), forest_lift(tri, q)
         assert result == expected, q
+        assert_canonical_lift(tri, q, result)
         assert list(result.per_vertex_shift) == list(expected.per_vertex_shift)
         seen.add(result.classification)
     return seen
@@ -240,6 +243,7 @@ def test_shift_is_minus_the_last_triangle_of_the_canonical_lift():
     tri = parse_triangulation(gen.stacked(random.Random(3), 6))
     for q in generated_queries(tri, random.Random(3)):
         result = lift(tri, q)
+        assert_canonical_lift(tri, q, result)
         if result.classification != NORMAL:
             continue
         for v, link in enumerate(tri.links):
@@ -297,9 +301,11 @@ def test_lift_is_smith_lift_and_commutes_with_relabelling(pair, seed):
     for q in queries:
         result = lift(tri, q)
         assert result == smith_lift(tri, q, decompositions), q
+        assert_canonical_lift(tri, q, result)
         moved = translate_quad_vector(q, tet_perm, vertex_perms)
         image = lift(other, moved)
         assert image == smith_lift(other, moved, other_decompositions), q
+        assert_canonical_lift(other, moved, image)
         assert image.classification == result.classification
         if result.canonical_lift is None:
             continue
@@ -316,21 +322,21 @@ def test_lift_is_smith_lift_and_commutes_with_relabelling(pair, seed):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(relabelled_pair(), st.integers(0, 99))
 def test_every_normal_answer_is_the_minimal_normal_lift(pair, seed):
-    # what lift's postcondition checks at run time, and the minimality that
-    # it does not: a normal surface with quad part q whose triangles reach 0
-    # on every link
-    doc, _, (tet_perm, vertex_perms) = pair
-    for tri in (parse_triangulation(doc),
-                parse_triangulation(relabel_doc(doc, tet_perm, vertex_perms))):
-        for q in generated_queries(tri, random.Random(seed)):
-            result = lift(tri, q)
-            if result.classification != NORMAL:
-                continue
-            coords = result.canonical_lift
-            assert verify_normal(tri, coords).ok, q
-            assert quad_part(tri, coords) == q
-            assert [min(coords[d] for d in link.triangles)
-                    for link in tri.links] == [0] * len(tri.links), q
+    # what the walk of lift proves and lift no longer checks at run time,
+    # and the minimality that it never checked: a normal surface with quad
+    # part q whose triangles reach 0 on every link; a spun vector, which
+    # leaves residuals on closing arcs, must not be answered with a lift
+    doc, cover, (tet_perm, vertex_perms) = pair
+    tri = parse_triangulation(doc)
+    other = parse_triangulation(relabel_doc(doc, tet_perm, vertex_perms))
+    spun = []
+    if cover is not None:
+        pad = [0] * (tri.quad_count - 6 * cover)
+        spun = [gen.fig8_spun(cover, m) + pad for m in (1, 2)]
+    moved = [translate_quad_vector(q, tet_perm, vertex_perms) for q in spun]
+    for labelled, extra in ((tri, spun), (other, moved)):
+        for q in generated_queries(labelled, random.Random(seed)) + extra:
+            assert_canonical_lift(labelled, q, lift(labelled, q))
 
 
 def cover_of(name):
@@ -355,6 +361,7 @@ def test_cycle_failures_are_the_arc_by_arc_cycle_test(name, doc):
                          for imbalance in [cycle_imbalance(tri, b, v)]
                          if imbalance)
         result = lift(tri, q)
+        assert_canonical_lift(tri, q, result)
         if expected:
             failing += 1
             assert result.classification == NOT_NORMAL
@@ -410,6 +417,7 @@ def test_a_failing_zero_cell_fails_with_the_same_sum_at_the_other_end(
     tri = parse_triangulation(doc)
     for q in family_queries(tri, cover_of(name), seed):
         result = lift(tri, q)
+        assert_canonical_lift(tri, q, result)
         sums = {cell: s for _, cells in result.cycle_failures
                 for cell, s in cells}
         assert bool(sums) == (result.classification == NOT_NORMAL)
@@ -425,6 +433,8 @@ def test_lift_does_not_depend_on_edge_directions(drawn, seed):
     flipped = flip_edge(tri, edge)
     for q in family_queries(tri, cover, seed):
         result, image = lift(tri, q), lift(flipped, q)
+        assert_canonical_lift(tri, q, result)
+        assert_canonical_lift(flipped, q, image)
         assert image.classification == result.classification
         assert image.canonical_lift == result.canonical_lift
         assert image.per_vertex_shift == result.per_vertex_shift

@@ -14,10 +14,11 @@ normal q has its (verified) canonical lift inside the enumeration box.
 
 import itertools
 
-from quadlift import NORMAL, lift, verify_normal
+from quadlift import NORMAL, lift
 from quadlift.solver import quad_part
 from conftest import load_doc
-from oracles import cycle_test, enumerate_matching_solutions, triangle_part
+from oracles import (assert_canonical_lift, cycle_test,
+                     enumerate_matching_solutions, triangle_part)
 
 
 def admissible_vectors(tet_count, bound):
@@ -43,7 +44,7 @@ def test_triple_equivalence(sphere_fixtures):
             result = lift(tri, q)
             if result.classification == NORMAL:
                 normal_set.add(key)
-                assert verify_normal(tri, result.canonical_lift).ok
+                assert_canonical_lift(tri, q, result)
                 max_entry = max(max_entry, *result.canonical_lift)
         assert normal_set == cycle_set
 

@@ -6,13 +6,14 @@ import pytest
 from quadlift import NORMAL, NOT_NORMAL, SPUN_NORMAL, lift, verify_normal
 from quadlift import solver
 from quadlift.chains import apply_boundary
-from quadlift.solver import (check_admissible, load_normal_coords, load_quads,
-                             quad_chain, quad_part)
+from quadlift.solver import (LiftResult, check_admissible, load_normal_coords,
+                             load_quads, quad_chain, quad_part)
 from conftest import load_doc
-from oracles import (arc_of, arc_sign, check_admissible_loop,
-                     check_witness_independence, cycle_test,
-                     enumerate_matching_solutions, link_boundary_matrix,
-                     link_potential, partial_boundary, quad_cut_corner)
+from oracles import (arc_of, arc_sign, assert_canonical_lift,
+                     check_admissible_loop, check_witness_independence,
+                     cycle_test, enumerate_matching_solutions,
+                     link_boundary_matrix, link_potential, partial_boundary,
+                     quad_cut_corner)
 
 SPUN_Q = [0, 0, 1, 0, 0, 2]  # frozen spun-normal fixture on fig8
 
@@ -268,19 +269,14 @@ def test_lift_postconditions(sphere_fixtures):
             q = quad_part(tri, list(sol))
             result = lift(tri, q)
             assert result.classification == NORMAL
-            x = result.canonical_lift
-            assert quad_part(tri, x) == q
-            assert all(c >= 0 for c in x)
-            assert not any(apply_boundary(tri, x))
-            for link in tri.links:
-                assert min(x[d] for d in link.triangles) == 0
+            assert_canonical_lift(tri, q, result)
 
 
-def test_lift_refuses_a_potential_that_fails_its_check(three_tet,
-                                                      monkeypatch):
-    # the check at the end of lift is live: the potential of the first tree
-    # step of the first link walked, off by one, leaves dcoords != 0 on its
-    # arc, and lift raises
+def test_the_lift_check_refuses_a_potential_that_fails_it(three_tet,
+                                                         monkeypatch):
+    # the check of assert_canonical_lift is live: the potential of the first
+    # tree step of the first link walked, off by one, leaves dcoords != 0 on
+    # its arc, lift answers Normal all the same, and the check raises
     walk = solver.boundary_test
 
     def corrupted(tri, b, w, vertices):
@@ -290,10 +286,33 @@ def test_lift_refuses_a_potential_that_fails_its_check(three_tet,
         return residual
 
     q = [0, 0, 0, 0, 0, 1, 0, 1, 0]
-    assert lift(three_tet, q).classification == NORMAL
+    assert_canonical_lift(three_tet, q, lift(three_tet, q))
     monkeypatch.setattr(solver, "boundary_test", corrupted)
+    result = lift(three_tet, q)
+    assert result.classification == NORMAL
     with pytest.raises(AssertionError):
-        lift(three_tet, q)
+        assert_canonical_lift(three_tet, q, result)
+
+
+def test_the_lift_check_refuses_a_negative_or_non_minimal_link(three_tet):
+    # one triangle made negative breaks its arcs' equations too; a whole
+    # link lowered or raised by one keeps dcoords = 0 and the quad part, so
+    # only the zero minimum on every link tells it from the canonical lift
+    q = [0, 0, 0, 0, 0, 1, 0, 1, 0]
+    result = lift(three_tet, q)
+    coords = result.canonical_lift
+    triangles = three_tet.links[0].triangles
+    zero = next(d for d in triangles if coords[d] == 0)
+    wrong = [coords[:zero] + [-1] + coords[zero + 1:]]
+    for change in (-1, 1):
+        moved = list(coords)
+        for d in triangles:
+            moved[d] += change
+        wrong.append(moved)
+    for bad in wrong:
+        with pytest.raises(AssertionError):
+            assert_canonical_lift(three_tet, q, LiftResult(
+                NORMAL, bad, result.per_vertex_shift))
 
 
 def test_uniqueness_structure(sphere_fixtures):
